@@ -8,9 +8,11 @@
 //! model is trained on. This module keeps returned buffers on a per-thread
 //! free list, bucketed by power-of-two size class, so steady-state traffic
 //! (a service replaying the same shapes) performs **zero** packing
-//! allocations: the [`allocation_count`] counter — incremented only when a
-//! request misses the free list — is asserted to stay flat by the parallel
-//! parity suite.
+//! allocations. Every miss (a request the free list cannot serve) is
+//! counted twice: process-wide in [`allocation_count`], for reports, and
+//! per thread in [`thread_allocation_count`]. The steady-state tests sum the
+//! per-thread counts over a private pool ([`allocation_count_in`]), so
+//! tests running at the same time cannot disturb them.
 //!
 //! Buffers are handed out as [`PackBuf<T>`], which derefs to `[T]` and
 //! returns its storage to the arena on drop. Storage is `u64`-backed, so
@@ -19,8 +21,9 @@
 //! every lane, padding included) — callers that need zeroed scratch use
 //! [`take_zeroed`].
 
+use crate::pool::ThreadPool;
 use crate::Float;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -33,34 +36,41 @@ const CLASSES: usize = 34;
 const MAX_FREE_PER_CLASS: usize = 8;
 
 /// Fresh allocations performed because no free-listed buffer fit
-/// (process-wide, all threads). The parallel parity suite's steady-state
-/// test hook: warm the arena, reset, replay, assert this stays 0.
+/// (process-wide, all threads), for reports such as a benchmark's misses
+/// per call.
 static MISSES: AtomicUsize = AtomicUsize::new(0);
-
-/// Buffers served from the free list (process-wide); together with
-/// [`allocation_count`] this gives a hit rate for diagnostics.
-static HITS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static FREE: RefCell<[Vec<Vec<u64>>; CLASSES]> =
         RefCell::new(std::array::from_fn(|_| Vec::new()));
+    /// This thread's share of [`MISSES`].
+    static THREAD_MISSES: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Number of arena misses (fresh heap allocations) since the last
-/// [`reset_stats`]. Process-wide across all pool workers.
+/// Number of arena misses (fresh heap allocations) so far, process-wide
+/// across all threads. Concurrent work anywhere in the process moves it;
+/// use [`allocation_count_in`] to count one piece of work.
 pub fn allocation_count() -> usize {
     MISSES.load(Ordering::Relaxed)
 }
 
-/// Number of free-list hits since the last [`reset_stats`].
-pub fn hit_count() -> usize {
-    HITS.load(Ordering::Relaxed)
+/// Number of arena misses the calling thread has incurred so far.
+pub fn thread_allocation_count() -> usize {
+    THREAD_MISSES.with(Cell::get)
 }
 
-/// Reset both counters (test hook; safe to call any time).
-pub fn reset_stats() {
-    MISSES.store(0, Ordering::Relaxed);
-    HITS.store(0, Ordering::Relaxed);
+/// Arena misses incurred so far by the calling thread plus every worker of
+/// `pool`. Work dispatched from this thread onto a private `pool` (entered
+/// with [`ThreadPool::enter`]) runs on exactly these threads, so the
+/// difference of two readings counts that work and nothing else.
+pub fn allocation_count_in(pool: &ThreadPool) -> usize {
+    let total = AtomicUsize::new(0);
+    pool.run(pool.spawned_workers() + 1, |_| {
+        // ORDER: Relaxed — a plain sum; `run` joins every worker before
+        // the load below, which orders all the adds before it.
+        total.fetch_add(thread_allocation_count(), Ordering::Relaxed);
+    });
+    total.into_inner()
 }
 
 fn class_of(words: usize) -> usize {
@@ -77,12 +87,10 @@ pub fn take<T: Float>(len: usize) -> PackBuf<T> {
     let cap = 1usize << class.min(CLASSES - 2);
     let reused = FREE.with(|free| free.borrow_mut()[class].pop());
     let words_vec = match reused {
-        Some(v) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            v
-        }
+        Some(v) => v,
         None => {
             MISSES.fetch_add(1, Ordering::Relaxed);
+            THREAD_MISSES.with(|n| n.set(n.get() + 1));
             vec![0u64; cap.max(words)]
         }
     };
@@ -191,22 +199,31 @@ mod tests {
 
     #[test]
     fn reuse_hits_free_list() {
-        // Use an odd size no other test's class collides with to keep the
-        // assertion robust under concurrent tests on this thread.
         let len = 12_345usize;
         {
             let _warm = take::<f64>(len);
         }
-        let before = allocation_count();
+        let before = thread_allocation_count();
         for _ in 0..10 {
             let b = take::<f64>(len);
             assert_eq!(b.len(), len);
         }
         assert_eq!(
-            allocation_count(),
+            thread_allocation_count(),
             before,
             "steady-state takes must not allocate"
         );
+    }
+
+    #[test]
+    fn misses_are_counted_per_thread() {
+        let before = thread_allocation_count();
+        // One more live buffer than a class's free list keeps: at least
+        // one of them must be a fresh allocation.
+        let live: Vec<PackBuf<f64>> = (0..=MAX_FREE_PER_CLASS).map(|_| take(20)).collect();
+        assert_eq!(live.len(), MAX_FREE_PER_CLASS + 1);
+        assert!(thread_allocation_count() > before);
+        assert!(allocation_count() >= thread_allocation_count());
     }
 
     #[test]

@@ -433,16 +433,20 @@ mod tests {
         let a = test_mat(m, k, 1);
         let b = test_mat(k, n, 2);
         let mut c = Matrix::<f64>::zeros(m, n);
+        // A private pool, so the count sees this test's threads only.
+        let pool = std::sync::Arc::new(ThreadPool::with_max_workers(3));
+        let _on_pool = ThreadPool::enter(pool.clone());
         // Warm every participating thread's arena.
         for _ in 0..2 {
             gemm_mat(4, Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
         }
-        let before = crate::arena::allocation_count();
+        let before = arena::allocation_count_in(&pool);
+        assert!(before > 0, "the warm-up allocated on the pool's threads");
         for _ in 0..10 {
             gemm_mat(4, Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
         }
         assert_eq!(
-            crate::arena::allocation_count(),
+            arena::allocation_count_in(&pool),
             before,
             "steady-state parallel GEMM must perform zero packing allocations"
         );

@@ -949,12 +949,12 @@ mod tests {
             );
         };
         run(&mut c); // warm the arena
-        let before = arena::allocation_count();
+        let before = arena::thread_allocation_count();
         for _ in 0..5 {
             run(&mut c);
         }
         assert_eq!(
-            arena::allocation_count(),
+            arena::thread_allocation_count(),
             before,
             "steady-state serial GEMM must not allocate packing buffers"
         );

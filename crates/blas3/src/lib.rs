@@ -78,6 +78,7 @@ pub mod level2;
 pub mod symm;
 pub mod syr2k;
 pub mod syrk;
+mod tri;
 pub mod trmm;
 pub mod trsm;
 

@@ -18,7 +18,7 @@
 //! (`element(i, j) = *(ptr + i*rs + j*cs)`) that covers plain and
 //! transposed column-major views — and lowers to contiguous `memcpy`-style
 //! copies when one stride is 1 — or a **gather closure** for operands with
-//! no affine layout (symmetric mirroring, triangular masking). The strided
+//! no affine layout (the symmetric mirror). The strided
 //! path is what makes packing disappear from profiles: the seed's
 //! closure-per-element gather cost as much as a third of a mid-size GEMM
 //! once the micro-kernels went SIMD.
@@ -100,6 +100,17 @@ impl<'a, T: Float> StridedSrc<'a, T> {
         }
     }
 
+    /// The transposed view: element `(i, j)` of the result is `(j, i)` of
+    /// `self`, over the same storage.
+    #[inline]
+    pub fn transposed(self) -> Self {
+        StridedSrc {
+            rs: self.cs,
+            cs: self.rs,
+            ..self
+        }
+    }
+
     /// Element `(i, j)`.
     ///
     /// # Safety
@@ -117,8 +128,8 @@ impl<'a, T: Float> StridedSrc<'a, T> {
 pub enum PackSrc<'a, T: Float> {
     /// Affine layout; packs via contiguous or strided copies.
     Strided(StridedSrc<'a, T>),
-    /// Arbitrary layout (symmetric mirror, triangular mask); packs via one
-    /// closure call per element.
+    /// Arbitrary layout (the symmetric mirror); packs via one closure call
+    /// per element.
     Gather(&'a (dyn Fn(usize, usize) -> T + Sync)),
 }
 

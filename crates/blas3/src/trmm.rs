@@ -2,16 +2,25 @@
 //! `B = alpha*op(A)*B` (Left) or `B = alpha*B*op(A)` (Right),
 //! A triangular with optional implicit unit diagonal.
 //!
-//! The team sweeps the diagonal blocks **in lockstep**: per block, the
-//! small in-place triangular product is split across members (columns for
-//! Left, rows for Right — each member's slice is self-contained), then the
-//! rectangular accumulation against the not-yet-overwritten remainder runs
-//! as one **cooperative GEMM** over the whole of B — the triangular
-//! operand's packed panels are produced once by the team instead of once
-//! per worker, and B's panels take the strided fast path instead of the old
-//! closure gather. The sweep direction is chosen so every read sees
-//! original data, exactly as in the serial algorithm; barriers separate the
-//! two phases because they partition B differently.
+//! One sweep serves both sides: the Right side is the Left side on `Bᵀ`
+//! with `op(A)ᵀ` (see [`tri`](crate::tri)). The team walks the diagonal
+//! blocks of `op'(A)` **in lockstep**, in the order that leaves every row
+//! a block reads unwritten until its own turn. Per block:
+//!
+//! 1. **Diagonal product.** Each member packs the diagonal block once into
+//!    a dense tile (uplo, trans and diag resolved, zeros outside the
+//!    triangle). It copies its column chunk of the block's rows of X into a
+//!    panel, `W` columns at a time, and writes `alpha·tile·panel` back with
+//!    the serial micro-kernel GEMM. Columns of X are independent here, so
+//!    members need not meet.
+//! 2. **Fold.** After a barrier, the product with the rows not yet
+//!    overwritten runs as one cooperative GEMM over all of X. Its A operand
+//!    lies wholly in A's stored triangle, so it packs straight from A's
+//!    storage as a strided view.
+//!
+//! Each member's scratch (one `TB x TB` tile and one `TB x W` panel, from
+//! its own arena) is bounded whatever m and n are: the scratch a call
+//! touches stays cache-sized, and a large call cannot grow the arenas.
 //!
 //! Within the backend seam this module is the kernel level: the wide
 //! slice-signature entry point below is what
@@ -19,68 +28,11 @@
 //! [`Blas3Op::Trmm`](crate::call::Blas3Op) description.
 
 use crate::arena;
-use crate::kernel::{gemm_cooperative, scale_block, shared_pack_lens, SharedPack};
+use crate::kernel::SharedPack;
 use crate::matrix::{check_operand, Matrix};
-use crate::pack::PackSrc;
-use crate::pool::{SendPtr, ThreadPool};
+use crate::pool::ThreadPool;
+use crate::tri::{sweep, Scratch, Tri, XView, TB, W};
 use crate::{Diag, Float, Side, Transpose, Uplo};
-
-/// Diagonal-block size for the in-place sweep.
-const TB: usize = 64;
-
-/// Accessor for element `(i, j)` of the triangular `op(A)`.
-#[inline]
-pub(crate) fn tri_at<T: Float>(
-    a: &[T],
-    lda: usize,
-    uplo: Uplo,
-    trans: Transpose,
-    diag: Diag,
-    i: usize,
-    j: usize,
-) -> T {
-    // Map to storage coordinates.
-    let (si, sj) = match trans {
-        Transpose::No => (i, j),
-        Transpose::Yes => (j, i),
-    };
-    if si == sj {
-        return match diag {
-            Diag::Unit => T::ONE,
-            Diag::NonUnit => a[si + sj * lda],
-        };
-    }
-    let stored = match uplo {
-        Uplo::Upper => si < sj,
-        Uplo::Lower => si > sj,
-    };
-    if stored {
-        a[si + sj * lda]
-    } else {
-        T::ZERO
-    }
-}
-
-/// Whether `op(A)` is effectively upper triangular.
-#[inline]
-pub(crate) fn effective_upper(uplo: Uplo, trans: Transpose) -> bool {
-    matches!(
-        (uplo, trans),
-        (Uplo::Upper, Transpose::No) | (Uplo::Lower, Transpose::Yes)
-    )
-}
-
-/// The diagonal-block sweep order: ascending when the off-diagonal source
-/// lies *after* the block (effective upper on the Left / lower on the
-/// Right), descending otherwise — so rectangular reads always see data the
-/// sweep has not yet overwritten.
-pub(crate) fn sweep_order(nblocks: usize, ascending: bool) -> Vec<usize> {
-    if ascending {
-        (0..nblocks).collect()
-    } else {
-        (0..nblocks).rev().collect()
-    }
-}
 
 /// Slice-based TRMM with explicit leading dimensions and thread count.
 ///
@@ -101,203 +53,87 @@ pub fn trmm<T: Float>(
     b: &mut [T],
     ldb: usize,
 ) {
-    let na = match side {
-        Side::Left => m,
-        Side::Right => n,
+    // X is B (Left) or Bᵀ (Right): na x nx, with op'(A) na x na.
+    let (na, nx) = match side {
+        Side::Left => (m, n),
+        Side::Right => (n, m),
     };
     check_operand("trmm A", na, na, lda, a);
     check_operand("trmm B", m, n, ldb, b);
     if m == 0 || n == 0 {
         return;
     }
+    let x = XView::new(b.as_mut_ptr(), ldb, side == Side::Right);
     if alpha == T::ZERO {
         // BLAS convention: B := 0.
-        let bp = SendPtr(b.as_mut_ptr());
         ThreadPool::run_current(nt, |tid| {
-            let (js, je) = ThreadPool::chunk(n, nt, tid);
-            for j in js..je {
-                // SAFETY: disjoint columns per worker.
-                unsafe { scale_block(m, 1, T::ZERO, bp.get().add(j * ldb), ldb) };
-            }
+            let (js, je) = ThreadPool::chunk(nx, nt, tid);
+            // SAFETY: disjoint column chunks of X per worker.
+            unsafe { x.at(0, js).scale(na, je - js, T::ZERO) };
         });
         return;
     }
 
-    let at = move |i: usize, j: usize| tri_at(a, lda, uplo, trans, diag, i, j);
-    let eff_upper = effective_upper(uplo, trans);
-    let bp = SendPtr(b.as_mut_ptr());
+    let tri = Tri::new(side, uplo, trans, diag, na, a, lda);
     // Resolve the micro-kernel once; the whole team shares it.
     let disp = T::kernel();
-    let (alen, blen) = match side {
-        Side::Left => shared_pack_lens(&disp, TB.min(m), n, m),
-        Side::Right => shared_pack_lens(&disp, m, TB.min(n), n),
-    };
+    let nbmax = TB.min(na);
+    let (alen, blen) = x.pack_lens(&disp, nbmax, nx, na);
     let mut pa = arena::take::<T>(alen);
     let mut pb = arena::take::<T>(blen);
     let shared = SharedPack::new(&mut pa, &mut pb);
+    // Ascending when the fold reads the rows after the block.
+    let order = sweep(na.div_ceil(TB), tri.upper);
 
-    match side {
-        Side::Left => {
-            let nblocks = m.div_ceil(TB);
-            let order = sweep_order(nblocks, eff_upper);
-            ThreadPool::run_team_current(nt, |team| {
-                // SAFETY: bp spans the m x n matrix B with leading
-                // dimension ldb, and every caller keeps i < m, j < n.
-                let bget = |i: usize, j: usize| unsafe { *bp.get().add(i + j * ldb) };
-                // SAFETY: same extent as bget; the team partition keeps
-                // concurrent writes on disjoint elements, and barriers
-                // order every cross-chunk read after the write it needs.
-                let bset = |i: usize, j: usize, v: T| unsafe { *bp.get().add(i + j * ldb) = v };
-                for &bi in &order {
-                    let i0 = bi * TB;
-                    let i1 = ((bi + 1) * TB).min(m);
-                    // 1. In-place triangular product on the diagonal block:
-                    // column-local, so members take column chunks.
-                    let (js, je) = team.chunk(n);
-                    for j in js..je {
-                        if eff_upper {
-                            for i in i0..i1 {
-                                let mut acc = T::ZERO;
-                                for p in i..i1 {
-                                    acc += at(i, p) * bget(p, j);
-                                }
-                                bset(i, j, acc);
-                            }
-                        } else {
-                            for i in (i0..i1).rev() {
-                                let mut acc = T::ZERO;
-                                for p in i0..=i {
-                                    acc += at(i, p) * bget(p, j);
-                                }
-                                bset(i, j, acc);
-                            }
-                        }
-                    }
-                    // The fold below repartitions the same rows by register tile.
-                    team.barrier();
-                    // 2. Rectangular accumulation against untouched rows,
-                    // as one cooperative product over all of B's columns.
-                    let (src0, krem) = if eff_upper { (i1, m - i1) } else { (0, i0) };
-                    if krem > 0 {
-                        let a_fold = move |i: usize, p: usize| at(i0 + i, src0 + p);
-                        let a_src = PackSrc::gather(&a_fold);
-                        // SAFETY: rows src0..src0+krem are untouched until
-                        // their own block's turn, so they are stable reads
-                        // while rows i0..i1 are written.
-                        let b_src =
-                            unsafe { PackSrc::from_raw(bp.get().add(src0) as *const T, 1, ldb) };
-                        // SAFETY: destination rows i0..i1 are team-exclusive
-                        // (tile split inside); barrier above published phase 1.
-                        unsafe {
-                            gemm_cooperative(
-                                &disp,
-                                &team,
-                                i1 - i0,
-                                n,
-                                krem,
-                                T::ONE,
-                                &a_src,
-                                &b_src,
-                                bp.get().add(i0),
-                                ldb,
-                                &shared,
-                            );
-                        }
-                    } else {
-                        // Keep every member's barrier schedule identical.
-                        team.barrier();
+    ThreadPool::run_team_current(nt, |team| {
+        let (c0, c1) = team.chunk(nx);
+        let mut scratch = (c0 < c1).then(|| Scratch::take(nbmax, W.min(c1 - c0)));
+        for bi in order.clone() {
+            let i0 = bi * TB;
+            let nb = TB.min(na - i0);
+            // 1. Diagonal product on this member's columns.
+            if let Some(s) = scratch.as_mut() {
+                tri.pack_diag(i0, nb, &mut s.tile);
+                for c in (c0..c1).step_by(W) {
+                    let w = W.min(c1 - c);
+                    let xb = x.at(i0, c);
+                    let panel = s.panel(xb, nb, w);
+                    // SAFETY: the nb x w block of X is this member's (its
+                    // column chunk) and was last touched by the previous
+                    // fold, which ended on a barrier; the panel is the
+                    // member's own scratch, sized nbmax x W.min(c1 - c0).
+                    unsafe {
+                        xb.copy_to(panel, nb, w);
+                        xb.scale(nb, w, T::ZERO);
+                        xb.gemm(&disp, nb, w, nb, alpha, s.tile_src(nb), panel.src());
                     }
                 }
-                // 3. Final alpha scale, column chunks (the barrier above —
-                // cooperative trailing or explicit — ordered all writes).
-                if alpha != T::ONE {
-                    let (js, je) = team.chunk(n);
-                    if js < je {
-                        // SAFETY: disjoint column chunks per member.
-                        unsafe { scale_block(m, je - js, alpha, bp.get().add(js * ldb), ldb) };
-                    }
+            }
+            // 2. Fold in the rows no block has overwritten yet.
+            let (src0, krem) = tri.fold_rows(i0, nb);
+            if krem > 0 {
+                // The fold splits the block's rows by tile, not by column.
+                team.barrier();
+                // SAFETY: rows src0..src0+krem of X keep their input
+                // values until their own block's turn, so they are stable
+                // reads; the fold writes only rows i0..i0+nb, split across
+                // the team inside, and ends on a barrier.
+                unsafe {
+                    x.at(i0, 0).gemm_team(
+                        &disp,
+                        &team,
+                        nb,
+                        nx,
+                        krem,
+                        alpha,
+                        tri.fold_src(i0, nb),
+                        x.at(src0, 0).src(),
+                        &shared,
+                    );
                 }
-            });
+            }
         }
-        Side::Right => {
-            let nblocks = n.div_ceil(TB);
-            let order = sweep_order(nblocks, !eff_upper);
-            ThreadPool::run_team_current(nt, |team| {
-                // SAFETY: bp spans the m x n matrix B with leading
-                // dimension ldb, and every caller keeps i < m, j < n.
-                let bget = |i: usize, j: usize| unsafe { *bp.get().add(i + j * ldb) };
-                // SAFETY: same extent as bget; the team partition keeps
-                // concurrent writes on disjoint elements, and barriers
-                // order every cross-chunk read after the write it needs.
-                let bset = |i: usize, j: usize, v: T| unsafe { *bp.get().add(i + j * ldb) = v };
-                for &bj in &order {
-                    let j0 = bj * TB;
-                    let j1 = ((bj + 1) * TB).min(n);
-                    // 1. In-place triangular product on the diagonal block:
-                    // row-local, so members take row chunks.
-                    let (is, ie) = team.chunk(m);
-                    if eff_upper {
-                        for j in (j0..j1).rev() {
-                            for i in is..ie {
-                                let mut acc = T::ZERO;
-                                for p in j0..=j {
-                                    acc += bget(i, p) * at(p, j);
-                                }
-                                bset(i, j, acc);
-                            }
-                        }
-                    } else {
-                        for j in j0..j1 {
-                            for i in is..ie {
-                                let mut acc = T::ZERO;
-                                for p in j..j1 {
-                                    acc += bget(i, p) * at(p, j);
-                                }
-                                bset(i, j, acc);
-                            }
-                        }
-                    }
-                    team.barrier();
-                    // 2. Rectangular accumulation against untouched columns.
-                    let (src0, krem) = if eff_upper { (0, j0) } else { (j1, n - j1) };
-                    if krem > 0 {
-                        let a_fold = move |p: usize, j: usize| at(src0 + p, j0 + j);
-                        let at_src = PackSrc::gather(&a_fold);
-                        // SAFETY: columns src0.. are untouched until their
-                        // own block's turn; stable reads.
-                        let b_src = unsafe {
-                            PackSrc::from_raw(bp.get().add(src0 * ldb) as *const T, 1, ldb)
-                        };
-                        // SAFETY: destination columns j0..j1 team-exclusive.
-                        unsafe {
-                            gemm_cooperative(
-                                &disp,
-                                &team,
-                                m,
-                                j1 - j0,
-                                krem,
-                                T::ONE,
-                                &b_src,
-                                &at_src,
-                                bp.get().add(j0 * ldb),
-                                ldb,
-                                &shared,
-                            );
-                        }
-                    } else {
-                        team.barrier();
-                    }
-                }
-                if alpha != T::ONE {
-                    let (js, je) = team.chunk(n);
-                    if js < je {
-                        // SAFETY: disjoint column chunks per member.
-                        unsafe { scale_block(m, je - js, alpha, bp.get().add(js * ldb), ldb) };
-                    }
-                }
-            });
-        }
-    }
+    });
 }
 
 /// Matrix-typed convenience wrapper.
@@ -444,29 +280,5 @@ mod tests {
             &mut b,
         );
         assert!(b.max_abs_diff(&b0) < 1e-15);
-    }
-
-    #[test]
-    fn unstored_triangle_not_read() {
-        let m = 80;
-        let mut a = test_mat(m, m, 3);
-        // Upper-triangular use: poison strictly-lower storage.
-        for j in 0..m {
-            for i in j + 1..m {
-                a.set(i, j, f64::NAN);
-            }
-        }
-        let mut b = test_mat(m, 10, 4);
-        trmm_mat(
-            2,
-            Side::Left,
-            Uplo::Upper,
-            Transpose::No,
-            Diag::NonUnit,
-            1.0,
-            &a,
-            &mut b,
-        );
-        assert!(b.as_slice().iter().all(|x| x.is_finite()));
     }
 }

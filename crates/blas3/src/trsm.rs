@@ -2,15 +2,27 @@
 //! `op(A) * X = alpha * B` (Left) or `X * op(A) = alpha * B` (Right);
 //! the solution X overwrites B. A is assumed non-singular.
 //!
-//! The diagonal blocks are **dependent** — block `i` can only be solved
-//! after every earlier block's contribution is folded in — so their serial
-//! ordering is kept, and the team sweeps them in lockstep: per block, the
-//! fold of the already-solved part is one **cooperative GEMM** over all of
-//! B (the triangular operand's panels are packed once by the team, the
-//! solved part of B takes the strided fast path), then the small
-//! substitution on the diagonal block is split across members (columns for
-//! Left, rows for Right — each member's slice is self-contained). A barrier
-//! after each substitution publishes the solved values the next fold reads.
+//! One sweep serves both sides: the Right side is the Left side on `Bᵀ`
+//! with `op(A)ᵀ` (see [`tri`](crate::tri)). The diagonal blocks are
+//! **dependent** (block `i` can only be solved once every earlier block's
+//! contribution is folded in), so the team sweeps them in lockstep, in
+//! substitution order. Per block:
+//!
+//! 1. **Fold.** The product of the block's row of `op'(A)` with the
+//!    already-solved rows runs as one cooperative GEMM over all of X. Its A
+//!    operand lies wholly in A's stored triangle, so it packs straight from
+//!    A's storage as a strided view.
+//! 2. **Substitution.** Each member packs the diagonal block once into a
+//!    dense tile (uplo, trans and diag resolved, zeros outside the
+//!    triangle) and solves its column chunk of the block's rows against it,
+//!    `W` columns at a time and in place: the tile is halved recursively,
+//!    each half's off-diagonal update runs through the serial micro-kernel
+//!    GEMM, and only 16-row diagonal pieces are solved element by element.
+//!    A barrier then publishes the solved rows to the next fold.
+//!
+//! Each member's scratch is one `TB x TB` tile from its own arena, bounded
+//! whatever m and n are: the scratch a call touches stays cache-sized, and
+//! a large call cannot grow the arenas.
 //!
 //! Within the backend seam this module is the kernel level: the wide
 //! slice-signature entry point below is what
@@ -18,15 +30,11 @@
 //! [`Blas3Op::Trsm`](crate::call::Blas3Op) description.
 
 use crate::arena;
-use crate::kernel::{gemm_cooperative, scale_block, shared_pack_lens, SharedPack};
+use crate::kernel::SharedPack;
 use crate::matrix::{check_operand, Matrix};
-use crate::pack::PackSrc;
-use crate::pool::{SendPtr, ThreadPool};
-use crate::trmm::{effective_upper, sweep_order, tri_at};
+use crate::pool::ThreadPool;
+use crate::tri::{solve_tile, sweep, Tri, XView, TB, W};
 use crate::{Diag, Float, Side, Transpose, Uplo};
-
-/// Diagonal-block size for the substitution sweep.
-const TB: usize = 64;
 
 /// Slice-based TRSM with explicit leading dimensions and thread count.
 ///
@@ -47,9 +55,10 @@ pub fn trsm<T: Float>(
     b: &mut [T],
     ldb: usize,
 ) {
-    let na = match side {
-        Side::Left => m,
-        Side::Right => n,
+    // X is B (Left) or Bᵀ (Right): na x nx, with op'(A) na x na.
+    let (na, nx) = match side {
+        Side::Left => (m, n),
+        Side::Right => (n, m),
     };
     check_operand("trsm A", na, na, lda, a);
     check_operand("trsm B", m, n, ldb, b);
@@ -57,191 +66,75 @@ pub fn trsm<T: Float>(
         return;
     }
 
-    let at = move |i: usize, j: usize| tri_at(a, lda, uplo, trans, diag, i, j);
-    let eff_upper = effective_upper(uplo, trans);
-    let bp = SendPtr(b.as_mut_ptr());
+    let x = XView::new(b.as_mut_ptr(), ldb, side == Side::Right);
+    let tri = Tri::new(side, uplo, trans, diag, na, a, lda);
     // Resolve the micro-kernel once; the whole team shares it.
     let disp = T::kernel();
-    let (alen, blen) = match side {
-        Side::Left => shared_pack_lens(&disp, TB.min(m), n, m),
-        Side::Right => shared_pack_lens(&disp, m, TB.min(n), n),
-    };
+    let nbmax = TB.min(na);
+    let (alen, blen) = x.pack_lens(&disp, nbmax, nx, na);
     let mut pa = arena::take::<T>(alen);
     let mut pb = arena::take::<T>(blen);
     let shared = SharedPack::new(&mut pa, &mut pb);
+    let nblocks = na.div_ceil(TB);
+    // Forward substitution for a lower op'(A), backward for an upper one.
+    let order = sweep(nblocks, !tri.upper);
 
-    match side {
-        Side::Left => {
-            let nblocks = m.div_ceil(TB);
-            // Forward (effective lower) or backward (effective upper).
-            let order = sweep_order(nblocks, !eff_upper);
-            ThreadPool::run_team_current(nt, |team| {
-                // SAFETY: bp spans the m x n matrix B with leading
-                // dimension ldb, and every caller keeps i < m, j < n.
-                let bget = |i: usize, j: usize| unsafe { *bp.get().add(i + j * ldb) };
-                // SAFETY: same extent as bget; the team partition keeps
-                // concurrent writes on disjoint elements, and barriers
-                // order every cross-chunk read after the write it needs.
-                let bset = |i: usize, j: usize, v: T| unsafe { *bp.get().add(i + j * ldb) = v };
-                // Alpha scale first, column chunks; the barrier publishes
-                // it before any fold reads across the column partition.
-                let (js, je) = team.chunk(n);
-                if js < je {
-                    // SAFETY: disjoint column chunks per member.
-                    unsafe { scale_block(m, je - js, alpha, bp.get().add(js * ldb), ldb) };
+    ThreadPool::run_team_current(nt, |team| {
+        let (c0, c1) = team.chunk(nx);
+        // SAFETY: this member's column chunk of X. Nobody else touches it
+        // before the first fold, which follows the first block's barrier.
+        unsafe { x.at(0, c0).scale(na, c1 - c0, alpha) };
+        let mut tile = (c0 < c1).then(|| arena::take::<T>(nbmax * nbmax));
+        for (step, bi) in order.clone().enumerate() {
+            let i0 = bi * TB;
+            let nb = TB.min(na - i0);
+            // 1. Fold in the already-solved rows.
+            let (src0, krem) = tri.fold_rows(i0, nb);
+            if krem > 0 {
+                // SAFETY: rows src0..src0+krem of X hold final solved values
+                // (published by an earlier block's barrier) and are not
+                // written again; the fold writes only rows i0..i0+nb, split
+                // across the team inside, and ends on a barrier.
+                unsafe {
+                    x.at(i0, 0).gemm_team(
+                        &disp,
+                        &team,
+                        nb,
+                        nx,
+                        krem,
+                        -T::ONE,
+                        tri.fold_src(i0, nb),
+                        x.at(src0, 0).src(),
+                        &shared,
+                    );
                 }
+            }
+            // 2. Solve the diagonal block on this member's columns.
+            if let Some(tile) = tile.as_mut() {
+                tri.pack_diag(i0, nb, tile);
+                for c in (c0..c1).step_by(W) {
+                    // SAFETY: the nb x w block of X lies in this member's
+                    // column chunk, and the fold above ended on a barrier.
+                    unsafe {
+                        solve_tile(
+                            &disp,
+                            tile,
+                            nb,
+                            tri.upper,
+                            x.at(i0, c),
+                            W.min(c1 - c),
+                            0,
+                            nb,
+                        )
+                    };
+                }
+            }
+            // Publish the solved rows to the next block's fold.
+            if step + 1 < nblocks {
                 team.barrier();
-                for &bi in &order {
-                    let i0 = bi * TB;
-                    let i1 = ((bi + 1) * TB).min(m);
-                    // 1. Fold in already-solved rows as one cooperative
-                    // product over all of B's columns.
-                    let (src0, krem) = if eff_upper { (i1, m - i1) } else { (0, i0) };
-                    if krem > 0 {
-                        let a_fold = move |i: usize, p: usize| at(i0 + i, src0 + p);
-                        let a_src = PackSrc::gather(&a_fold);
-                        // SAFETY: rows src0..src0+krem hold final solved
-                        // values (published by the barrier below in an
-                        // earlier iteration) and are not written again.
-                        let b_src =
-                            unsafe { PackSrc::from_raw(bp.get().add(src0) as *const T, 1, ldb) };
-                        // SAFETY: destination rows i0..i1 team-exclusive.
-                        unsafe {
-                            gemm_cooperative(
-                                &disp,
-                                &team,
-                                i1 - i0,
-                                n,
-                                krem,
-                                -T::ONE,
-                                &a_src,
-                                &b_src,
-                                bp.get().add(i0),
-                                ldb,
-                                &shared,
-                            );
-                        }
-                    } else {
-                        // Keep every member's barrier schedule identical.
-                        team.barrier();
-                    }
-                    // 2. Solve the diagonal block, column chunks.
-                    let (js, je) = team.chunk(n);
-                    for j in js..je {
-                        if eff_upper {
-                            for i in (i0..i1).rev() {
-                                let mut v = bget(i, j);
-                                for p in i + 1..i1 {
-                                    v -= at(i, p) * bget(p, j);
-                                }
-                                if diag == Diag::NonUnit {
-                                    v = v / at(i, i);
-                                }
-                                bset(i, j, v);
-                            }
-                        } else {
-                            for i in i0..i1 {
-                                let mut v = bget(i, j);
-                                for p in i0..i {
-                                    v -= at(i, p) * bget(p, j);
-                                }
-                                if diag == Diag::NonUnit {
-                                    v = v / at(i, i);
-                                }
-                                bset(i, j, v);
-                            }
-                        }
-                    }
-                    // Publish the solved rows for the next block's fold.
-                    team.barrier();
-                }
-            });
+            }
         }
-        Side::Right => {
-            let nblocks = n.div_ceil(TB);
-            // Solution column j depends on at(p, j): effective upper means
-            // p < j (solve left-to-right), lower means p > j.
-            let order = sweep_order(nblocks, eff_upper);
-            ThreadPool::run_team_current(nt, |team| {
-                // SAFETY: bp spans the m x n matrix B with leading
-                // dimension ldb, and every caller keeps i < m, j < n.
-                let bget = |i: usize, j: usize| unsafe { *bp.get().add(i + j * ldb) };
-                // SAFETY: same extent as bget; the team partition keeps
-                // concurrent writes on disjoint elements, and barriers
-                // order every cross-chunk read after the write it needs.
-                let bset = |i: usize, j: usize, v: T| unsafe { *bp.get().add(i + j * ldb) = v };
-                let (js, je) = team.chunk(n);
-                if js < je {
-                    // SAFETY: disjoint column chunks per member.
-                    unsafe { scale_block(m, je - js, alpha, bp.get().add(js * ldb), ldb) };
-                }
-                team.barrier();
-                for &bj in &order {
-                    let j0 = bj * TB;
-                    let j1 = ((bj + 1) * TB).min(n);
-                    // 1. Fold in already-solved columns.
-                    let (src0, krem) = if eff_upper { (0, j0) } else { (j1, n - j1) };
-                    if krem > 0 {
-                        let a_fold = move |p: usize, j: usize| at(src0 + p, j0 + j);
-                        let at_src = PackSrc::gather(&a_fold);
-                        // SAFETY: columns src0.. hold final solved values.
-                        let b_src = unsafe {
-                            PackSrc::from_raw(bp.get().add(src0 * ldb) as *const T, 1, ldb)
-                        };
-                        // SAFETY: destination columns j0..j1 team-exclusive.
-                        unsafe {
-                            gemm_cooperative(
-                                &disp,
-                                &team,
-                                m,
-                                j1 - j0,
-                                krem,
-                                -T::ONE,
-                                &b_src,
-                                &at_src,
-                                bp.get().add(j0 * ldb),
-                                ldb,
-                                &shared,
-                            );
-                        }
-                    } else {
-                        team.barrier();
-                    }
-                    // 2. Solve the diagonal block, row chunks.
-                    let (is, ie) = team.chunk(m);
-                    if eff_upper {
-                        for j in j0..j1 {
-                            for i in is..ie {
-                                let mut v = bget(i, j);
-                                for p in j0..j {
-                                    v -= bget(i, p) * at(p, j);
-                                }
-                                if diag == Diag::NonUnit {
-                                    v = v / at(j, j);
-                                }
-                                bset(i, j, v);
-                            }
-                        }
-                    } else {
-                        for j in (j0..j1).rev() {
-                            for i in is..ie {
-                                let mut v = bget(i, j);
-                                for p in j + 1..j1 {
-                                    v -= bget(i, p) * at(p, j);
-                                }
-                                if diag == Diag::NonUnit {
-                                    v = v / at(j, j);
-                                }
-                                bset(i, j, v);
-                            }
-                        }
-                    }
-                    // Publish the solved columns for the next block's fold.
-                    team.barrier();
-                }
-            });
-        }
-    }
+    });
 }
 
 /// Matrix-typed convenience wrapper.

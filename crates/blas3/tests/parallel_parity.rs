@@ -26,6 +26,7 @@ use adsala_blas3::pool::ThreadPool;
 use adsala_blas3::{arena, gemm, reference, symm, syr2k, syrk, trmm, trsm};
 use adsala_blas3::{Diag, Float, Matrix, Side, Transpose, Uplo};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Deterministic value stream in roughly [-2, 2].
 fn val(seed: u64, i: usize, j: usize) -> f64 {
@@ -316,59 +317,69 @@ fn edge_shapes_leave_empty_chunks() {
     }
 }
 
-/// Steady-state serving traffic performs **zero** packing allocations:
-/// once every participating thread's arena is warm, replaying the same
-/// shapes hits the free lists only. This is the issue's acceptance hook.
+/// Zero steady-state packing allocations, parallel edition: once every
+/// participating thread's arena is warm, replaying the same shapes hits the
+/// free lists only. The calls run on a private pool and the misses are
+/// counted on exactly its threads, so tests running alongside cannot move
+/// the count.
 #[test]
 fn steady_state_packing_allocations_are_zero() {
     let (m, n, k) = (180, 170, 96);
     let nt = 4;
+    let pool = Arc::new(ThreadPool::with_max_workers(nt - 1));
+    let _on_pool = ThreadPool::enter(Arc::clone(&pool));
     let a = det_mat::<f64>(m, k, 1);
     let b = det_mat::<f64>(k, n, 2);
     let bs = det_mat::<f64>(m, n, 4); // m x n operand for symm/trmm/trsm
-    let tri = tri_mat::<f64>(m, 3);
+    let tri_l = tri_mat::<f64>(m, 3);
+    let tri_r = tri_mat::<f64>(n, 5);
     let mut c = Matrix::<f64>::zeros(m, n);
     let mut run_all = || {
         gemm::gemm_mat(nt, Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c);
-        symm::symm_mat(nt, Side::Left, Uplo::Upper, 1.0, &tri, &bs, 0.0, &mut c);
+        symm::symm_mat(nt, Side::Left, Uplo::Upper, 1.0, &tri_l, &bs, 0.0, &mut c);
         let mut sq = Matrix::<f64>::zeros(m, m);
         syrk::syrk_mat(nt, Uplo::Lower, Transpose::No, 1.0, &a, 0.0, &mut sq);
         syr2k::syr2k_mat(nt, Uplo::Lower, Transpose::No, 1.0, &a, &a, 0.0, &mut sq);
-        let mut bx = bs.clone();
-        trmm::trmm_mat(
-            nt,
-            Side::Left,
-            Uplo::Lower,
-            Transpose::No,
-            Diag::NonUnit,
-            1.0,
-            &tri,
-            &mut bx,
-        );
-        trsm::trsm_mat(
-            nt,
-            Side::Left,
-            Uplo::Lower,
-            Transpose::No,
-            Diag::NonUnit,
-            1.0,
-            &tri,
-            &mut bx,
-        );
+        // Both sides, on a full team and on one thread (a column chunk
+        // wider than the panel, so the panel is reused within the call).
+        for tnt in [nt, 1] {
+            for (side, tri) in [(Side::Left, &tri_l), (Side::Right, &tri_r)] {
+                let mut bx = bs.clone();
+                trmm::trmm_mat(
+                    tnt,
+                    side,
+                    Uplo::Lower,
+                    Transpose::No,
+                    Diag::NonUnit,
+                    0.5,
+                    tri,
+                    &mut bx,
+                );
+                trsm::trsm_mat(
+                    tnt,
+                    side,
+                    Uplo::Upper,
+                    Transpose::Yes,
+                    Diag::NonUnit,
+                    2.0,
+                    tri,
+                    &mut bx,
+                );
+            }
+        }
     };
-    // Warm-up: twice, so every worker thread the pool may rotate through
-    // has touched its arena classes.
+    // Warm-up: twice, so every worker the pool dispatches to has touched
+    // its arena classes.
     run_all();
     run_all();
-    arena::reset_stats();
+    let before = arena::allocation_count_in(&pool);
+    assert!(before > 0, "the warm-up allocated on the pool's threads");
     for _ in 0..5 {
         run_all();
     }
     assert_eq!(
-        arena::allocation_count(),
-        0,
-        "steady-state calls must serve every packing buffer from the arena \
-         (hits: {})",
-        arena::hit_count()
+        arena::allocation_count_in(&pool),
+        before,
+        "steady-state calls must serve every packing buffer from the arena"
     );
 }
