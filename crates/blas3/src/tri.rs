@@ -18,7 +18,6 @@
 //! A's stored triangle, so [`Tri::fold_src`] is a plain strided view of A
 //! (trans only swaps the strides) and packs on the fast path.
 
-use crate::arena::{self, PackBuf};
 use crate::kernel::{
     gemm_cooperative, gemm_serial_with, scale_block, shared_pack_lens, KernelDispatch, SharedPack,
 };
@@ -132,8 +131,9 @@ impl<'a, T: Float> Tri<'a, T> {
     }
 }
 
-/// The dense `rows x cols` sub-block at `(r0, c0)` of a packed tile.
-fn tile_block<T: Float>(
+/// The dense `rows x cols` sub-block at `(r0, c0)` of a packed `nb x nb`
+/// tile (see [`Tri::pack_diag`]).
+pub(crate) fn tile_block<T: Float>(
     tile: &[T],
     nb: usize,
     r0: usize,
@@ -197,6 +197,13 @@ impl<T: Float> XView<T> {
             ptr: SendPtr(self.ptr_at(i, j)),
             ..self
         }
+    }
+
+    /// An `r x c` block of X held in `buf`, stored the same way as this
+    /// view's storage (a panel copy).
+    pub fn panel(self, buf: &mut [T], r: usize, c: usize) -> Self {
+        debug_assert!(r * c <= buf.len());
+        XView::new(buf.as_mut_ptr(), self.stored(r, c).0, self.trans)
     }
 
     /// X as a read-only packing operand.
@@ -324,35 +331,6 @@ impl<T: Float> XView<T> {
     }
 }
 
-/// One team member's diagonal tile and TRMM panel, from its own arena:
-/// `TB x TB` plus `TB x W` elements at most, whatever m and n are.
-pub(crate) struct Scratch<T: Float> {
-    /// The packed diagonal block (see [`Tri::pack_diag`]).
-    pub tile: PackBuf<T>,
-    panel: PackBuf<T>,
-}
-
-impl<T: Float> Scratch<T> {
-    /// Scratch for blocks of up to `nb` rows and `w` columns of X.
-    pub fn take(nb: usize, w: usize) -> Self {
-        Scratch {
-            tile: arena::take(nb * nb),
-            panel: arena::take(nb * w),
-        }
-    }
-
-    /// The panel as an `r x c` block of X, stored like `x`.
-    pub fn panel(&mut self, x: XView<T>, r: usize, c: usize) -> XView<T> {
-        debug_assert!(r * c <= self.panel.len());
-        XView::new(self.panel.as_mut_ptr(), x.stored(r, c).0, x.trans)
-    }
-
-    /// The packed `nb x nb` diagonal tile as a product operand.
-    pub fn tile_src(&self, nb: usize) -> StridedSrc<'_, T> {
-        tile_block(&self.tile, nb, 0, 0, nb, nb)
-    }
-}
-
 /// Solve `T·Y = X` in place for rows `lo..hi` of the `nb x w` block `x`,
 /// `T` the packed `nb x nb` diagonal tile (upper or lower). Halves until
 /// [`SOLVE_BASE`] rows remain and runs each split's off-diagonal update as
@@ -405,8 +383,11 @@ pub(crate) unsafe fn solve_tile<T: Float>(
 /// Element-wise substitution of rows `lo..hi` (see [`solve_tile`]):
 /// per pivot row `p`, divide it by `T(p, p)` and subtract its multiples
 /// from the rows still to solve. Both loop nests below apply the same
-/// operations to every element in the same order, so they agree bitwise;
-/// each walks X along its contiguous direction.
+/// operations to every element in the same order, so they agree bitwise.
+/// Each walks X along its contiguous direction: run on a transposed X
+/// (the Right side), the column-order nest strides through memory on
+/// every element and costs Right-side solves about a quarter of their
+/// speed.
 ///
 /// # Safety
 /// As for [`solve_tile`].

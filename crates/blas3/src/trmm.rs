@@ -31,7 +31,7 @@ use crate::arena;
 use crate::kernel::SharedPack;
 use crate::matrix::{check_operand, Matrix};
 use crate::pool::ThreadPool;
-use crate::tri::{sweep, Scratch, Tri, XView, TB, W};
+use crate::tri::{sweep, tile_block, Tri, XView, TB, W};
 use crate::{Diag, Float, Side, Transpose, Uplo};
 
 /// Slice-based TRMM with explicit leading dimensions and thread count.
@@ -87,17 +87,23 @@ pub fn trmm<T: Float>(
 
     ThreadPool::run_team_current(nt, |team| {
         let (c0, c1) = team.chunk(nx);
-        let mut scratch = (c0 < c1).then(|| Scratch::take(nbmax, W.min(c1 - c0)));
+        // The diagonal tile and the panel the product reads X from.
+        let mut scratch = (c0 < c1).then(|| {
+            let tile = arena::take::<T>(nbmax * nbmax);
+            let panel = arena::take::<T>(nbmax * W.min(c1 - c0));
+            (tile, panel)
+        });
         for bi in order.clone() {
             let i0 = bi * TB;
             let nb = TB.min(na - i0);
             // 1. Diagonal product on this member's columns.
-            if let Some(s) = scratch.as_mut() {
-                tri.pack_diag(i0, nb, &mut s.tile);
+            if let Some((tile, buf)) = scratch.as_mut() {
+                tri.pack_diag(i0, nb, tile);
                 for c in (c0..c1).step_by(W) {
                     let w = W.min(c1 - c);
                     let xb = x.at(i0, c);
-                    let panel = s.panel(xb, nb, w);
+                    let panel = xb.panel(buf, nb, w);
+                    let a = tile_block(tile, nb, 0, 0, nb, nb);
                     // SAFETY: the nb x w block of X is this member's (its
                     // column chunk) and was last touched by the previous
                     // fold, which ended on a barrier; the panel is the
@@ -105,7 +111,7 @@ pub fn trmm<T: Float>(
                     unsafe {
                         xb.copy_to(panel, nb, w);
                         xb.scale(nb, w, T::ZERO);
-                        xb.gemm(&disp, nb, w, nb, alpha, s.tile_src(nb), panel.src());
+                        xb.gemm(&disp, nb, w, nb, alpha, a, panel.src());
                     }
                 }
             }

@@ -10,8 +10,6 @@
 //! * Shapes straddle the 64-row diagonal block (63, 64, 65, 129), and one
 //!   X is wider than the 128-column panel a team member works through.
 //! * Every result must be bitwise identical across team sizes.
-//!
-//! The `ADSALA_TEST_NT` environment variable adds one team size.
 
 // Outside the Miri subset: exercises the OS thread pool.
 #![cfg(not(miri))]
@@ -44,18 +42,8 @@ fn shapes() -> Vec<(usize, usize)> {
     out
 }
 
-fn team_sizes() -> Vec<usize> {
-    let mut nts = vec![1, 3];
-    if let Some(forced) = std::env::var("ADSALA_TEST_NT")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        nts.push(forced.clamp(1, 64));
-    }
-    nts.sort_unstable();
-    nts.dedup();
-    nts
-}
+/// Team sizes: serial, and one that splits X unevenly.
+const TEAM_SIZES: [usize; 2] = [1, 3];
 
 fn val(seed: u64, i: usize, j: usize) -> f64 {
     let h = (i as u64)
@@ -184,8 +172,12 @@ fn padding_untouched<T: Float>(b: &[T], m: usize) -> bool {
         .all(|col| col[m..].iter().all(|x| x.to_f64().is_nan()))
 }
 
+/// Every shape, side, uplo, diag, trans and alpha, at every team size.
+/// Because A's unstored triangle is NaN (see [`tri_operand`]) and any NaN
+/// in the result fails, this is also the `unstored_triangle_not_read`
+/// check, for both routines and every flag combination on multi-block
+/// shapes.
 fn check<T: Float>(routine: Routine, tol: f64) {
-    let nts = team_sizes();
     let label = std::any::type_name::<T>();
     for (m, n) in shapes() {
         for side in [Side::Left, Side::Right] {
@@ -206,10 +198,10 @@ fn check<T: Float>(routine: Routine, tol: f64) {
                             );
                             let want: Vec<T> = unit.iter().map(|&v| alpha * v).collect();
                             let mut base = Vec::new();
-                            for &nt in &nts {
+                            for nt in TEAM_SIZES {
                                 let mut got = rhs::<T>(m, n);
                                 native(routine, nt, flags, m, n, alpha, &a, lda, &mut got);
-                                if nt == nts[0] {
+                                if nt == TEAM_SIZES[0] {
                                     let err = rel_err(&got, &want, m, n);
                                     assert!(err < tol, "{what}: relative error {err:e}");
                                     assert!(padding_untouched(&got, m), "{what}: padding written");
@@ -248,33 +240,4 @@ fn trsm_f64_matches_reference_and_is_nt_invariant() {
 #[test]
 fn trsm_f32_matches_reference_and_is_nt_invariant() {
     check::<f32>(Routine::Trsm, 1e-4);
-}
-
-/// Multi-block shapes on both sides, every flag combination, both
-/// routines: with A's unstored triangle (and, under `Diag::Unit`, its
-/// diagonal) NaN-poisoned, every output stays finite.
-#[test]
-fn unstored_triangle_not_read() {
-    let (m, n) = (150, 140);
-    for routine in [Routine::Trmm, Routine::Trsm] {
-        for side in [Side::Left, Side::Right] {
-            let na = if side == Side::Left { m } else { n };
-            for uplo in [Uplo::Upper, Uplo::Lower] {
-                for diag in [Diag::NonUnit, Diag::Unit] {
-                    let a = tri_operand::<f64>(na, uplo, diag);
-                    for trans in [Transpose::No, Transpose::Yes] {
-                        for nt in [1, 3] {
-                            let mut b = rhs::<f64>(m, n);
-                            let flags = (side, uplo, trans, diag);
-                            native(routine, nt, flags, m, n, 1.0, &a, na + PAD_A, &mut b);
-                            assert!(
-                                rel_err(&b, &b, m, n).is_finite(),
-                                "{routine:?} {flags:?} nt={nt} read a NaN"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
