@@ -25,8 +25,8 @@ use crate::predictor::ThreadPredictor;
 use crate::store;
 use adsala_blas3::op::{Dims, Routine};
 use adsala_blas3::{
-    Blas2Op, Blas3Backend, Blas3Error, Blas3Op, Diag, Float, MatMut, MatRef, NativeBackend, Side,
-    Transpose, Uplo,
+    Blas3Backend, Blas3Error, Blas3Op, Diag, Float, MatMut, MatRef, NativeBackend, Side, Transpose,
+    Uplo,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -314,9 +314,10 @@ impl<B: Blas3Backend> Adsala<B> {
         Ok(slot)
     }
 
-    /// The single dispatch path every call goes through: validate the call
-    /// description, predict the thread count from its dimensions, execute
-    /// on the backend. Returns the thread count used.
+    /// The single dispatch path every call, Level 3 or Level 2, goes
+    /// through: validate the call description, predict the thread count
+    /// from its dimensions, execute on the backend. Returns the thread
+    /// count used.
     ///
     /// Validation runs here so a malformed call fails *before* paying for
     /// the prediction sweep; the built-in backends validate again on entry
@@ -352,35 +353,6 @@ impl<B: Blas3Backend> Adsala<B> {
     ) -> Result<(), Blas3Error> {
         op.validate()?;
         self.backend.execute(nt, op)
-    }
-
-    /// [`Adsala::execute`] for Level 2 call descriptions: validate, predict
-    /// the thread count (memory-bound calls plateau at the bandwidth knee —
-    /// a well-trained model picks well below the core count), dispatch.
-    /// Returns the thread count used.
-    ///
-    /// # Errors
-    /// [`Blas3Error`] when the call description is dimensionally
-    /// inconsistent, or when the configured backend does not implement the
-    /// Level 2 entry points ([`Blas3Error::UnsupportedRoutine`]).
-    pub fn execute2<T: Float>(&self, op: Blas2Op<'_, T>) -> Result<usize, Blas3Error> {
-        op.validate()?;
-        let nt = self.predict_nt(op.routine(), op.dims());
-        self.backend.execute2(nt, op)?;
-        Ok(nt)
-    }
-
-    /// [`Adsala::execute_with_nt`] for Level 2 call descriptions.
-    ///
-    /// # Errors
-    /// Same conditions as [`Adsala::execute2`].
-    pub fn execute2_with_nt<T: Float>(
-        &self,
-        nt: usize,
-        op: Blas2Op<'_, T>,
-    ) -> Result<(), Blas3Error> {
-        op.validate()?;
-        self.backend.execute2(nt, op)
     }
 
     /// GEMM with ML-selected thread count:
@@ -1033,7 +1005,7 @@ mod tests {
         let x: Vec<f64> = (0..n).map(|i| (i % 4) as f64 - 1.5).collect();
         let mut y = vec![1.0f64; m];
         let nt = lib
-            .execute2(Blas2Op::Gemv {
+            .execute(Blas3Op::Gemv {
                 trans: Transpose::No,
                 alpha: 2.0,
                 a: a.as_ref(),
@@ -1055,9 +1027,9 @@ mod tests {
 
         // The explicit-nt dispatch path and typed validation both work.
         let mut y2 = vec![0.0f64; m];
-        lib.execute2_with_nt(
+        lib.execute_with_nt(
             1,
-            Blas2Op::Gemv {
+            Blas3Op::Gemv {
                 trans: Transpose::No,
                 alpha: 1.0,
                 a: a.as_ref(),
@@ -1068,9 +1040,9 @@ mod tests {
         )
         .unwrap();
         let err = lib
-            .execute2_with_nt(
+            .execute_with_nt(
                 1,
-                Blas2Op::Gemv {
+                Blas3Op::Gemv {
                     trans: Transpose::No,
                     alpha: 1.0,
                     a: a.as_ref(),

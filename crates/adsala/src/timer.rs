@@ -9,15 +9,15 @@
 //!   while standing in for hardware we do not have.
 //! * [`RealTimer`] — wall-clock measurement through a [`Blas3Backend`],
 //!   usable wherever the library is actually deployed. The timer executes
-//!   the *same* [`Blas3Op`] descriptions through the *same* backend trait
-//!   the runtime dispatches through, so installation measures exactly what
-//!   runtime serves; [`RealTimer::with_backend`] times any other backend
-//!   implementation the runtime might be configured with.
+//!   the *same* [`adsala_blas3::Blas3Op`] descriptions through the *same*
+//!   backend trait the runtime dispatches through, so installation
+//!   measures exactly what runtime serves; [`RealTimer::with_backend`]
+//!   times any other backend implementation the runtime might be
+//!   configured with.
 
 use adsala_blas3::op::{Dims, OpKind, Routine};
 use adsala_blas3::{
-    Blas2Op, Blas3Backend, Blas3Op, Diag, Float, Matrix, NativeBackend, Side, Transpose, Uplo,
-    VecMut, VecRef,
+    Blas3Backend, Diag, Float, Matrix, NativeBackend, OwnedOp, Side, Transpose, Uplo,
 };
 use adsala_machine::{MachineSpec, PerfModel};
 use std::time::Instant;
@@ -109,11 +109,10 @@ impl<B: Blas3Backend> RealTimer<B> {
     }
 }
 
-/// Build operands, execute one [`Blas3Op`] through the backend, return
-/// elapsed seconds (operand construction excluded).
-fn run_typed<T: Float, B: Blas3Backend>(backend: &B, op: OpKind, dims: Dims, nt: usize) -> f64 {
-    // Deterministic, well-conditioned operands. TRSM needs a
-    // diagonally-dominant triangular A.
+/// Deterministic, well-conditioned operands for one call of `op` at
+/// `dims`. Every operand has its own seed; TRSM and TRSV get a
+/// diagonally-dominant triangular A.
+fn synth<T: Float>(op: OpKind, dims: Dims) -> OwnedOp<T> {
     let gen = |r: usize, c: usize, seed: u64| {
         Matrix::<T>::from_fn(r, c, |i, j| {
             let h = (i as u64)
@@ -123,254 +122,119 @@ fn run_typed<T: Float, B: Blas3Backend>(backend: &B, op: OpKind, dims: Dims, nt:
             T::from_f64(((h >> 40) % 1000) as f64 / 1000.0 - 0.5)
         })
     };
-    let genv = |n: usize, seed: u64| -> Vec<T> {
-        (0..n)
-            .map(|i| {
-                let h = (i as u64)
-                    .wrapping_mul(0x9E3779B97F4A7C15)
-                    .wrapping_add(seed.wrapping_mul(0x2545F4914F6CDD1D));
-                T::from_f64(((h >> 40) % 1000) as f64 / 1000.0 - 0.5)
-            })
-            .collect()
+    // An `n x 1` vector operand: element i hashes `i*K1 + seed*K2`.
+    let genv = |n: usize, seed: u64| gen(n, 1, seed.wrapping_mul(0x2545F4914F6CDD1D));
+    let dominant = |n: usize, seed: u64| {
+        let mut a = gen(n, n, seed);
+        for i in 0..n {
+            a.set(i, i, T::from_f64(4.0 + (i % 3) as f64));
+        }
+        a
     };
-    let one = T::ONE;
+    let (one, zero) = (T::ONE, T::ZERO);
+    let (d0, d1) = (dims.a(), dims.b());
     match op {
-        OpKind::Gemm => {
-            let (m, k, n) = (dims.a(), dims.b(), dims.c());
-            let a = gen(m, k, 1);
-            let b = gen(k, n, 2);
-            let mut c = Matrix::<T>::zeros(m, n);
-            let t0 = Instant::now();
-            backend
-                .execute(
-                    nt,
-                    Blas3Op::Gemm {
-                        transa: Transpose::No,
-                        transb: Transpose::No,
-                        alpha: one,
-                        a: a.as_ref(),
-                        b: b.as_ref(),
-                        beta: T::ZERO,
-                        c: c.as_mut(),
-                    },
-                )
-                .expect("timer gemm must be well-formed");
-            t0.elapsed().as_secs_f64()
-        }
-        OpKind::Symm => {
-            let (m, n) = (dims.a(), dims.b());
-            let a = gen(m, m, 3);
-            let b = gen(m, n, 4);
-            let mut c = Matrix::<T>::zeros(m, n);
-            let t0 = Instant::now();
-            backend
-                .execute(
-                    nt,
-                    Blas3Op::Symm {
-                        side: Side::Left,
-                        uplo: Uplo::Upper,
-                        alpha: one,
-                        a: a.as_ref(),
-                        b: b.as_ref(),
-                        beta: T::ZERO,
-                        c: c.as_mut(),
-                    },
-                )
-                .expect("timer symm must be well-formed");
-            t0.elapsed().as_secs_f64()
-        }
-        OpKind::Syrk => {
-            let (n, k) = (dims.a(), dims.b());
-            let a = gen(n, k, 5);
-            let mut c = Matrix::<T>::zeros(n, n);
-            let t0 = Instant::now();
-            backend
-                .execute(
-                    nt,
-                    Blas3Op::Syrk {
-                        uplo: Uplo::Lower,
-                        trans: Transpose::No,
-                        alpha: one,
-                        a: a.as_ref(),
-                        beta: T::ZERO,
-                        c: c.as_mut(),
-                    },
-                )
-                .expect("timer syrk must be well-formed");
-            t0.elapsed().as_secs_f64()
-        }
-        OpKind::Syr2k => {
-            let (n, k) = (dims.a(), dims.b());
-            let a = gen(n, k, 6);
-            let b = gen(n, k, 7);
-            let mut c = Matrix::<T>::zeros(n, n);
-            let t0 = Instant::now();
-            backend
-                .execute(
-                    nt,
-                    Blas3Op::Syr2k {
-                        uplo: Uplo::Lower,
-                        trans: Transpose::No,
-                        alpha: one,
-                        a: a.as_ref(),
-                        b: b.as_ref(),
-                        beta: T::ZERO,
-                        c: c.as_mut(),
-                    },
-                )
-                .expect("timer syr2k must be well-formed");
-            t0.elapsed().as_secs_f64()
-        }
-        OpKind::Trmm => {
-            let (m, n) = (dims.a(), dims.b());
-            let a = gen(m, m, 8);
-            let mut b = gen(m, n, 9);
-            let t0 = Instant::now();
-            backend
-                .execute(
-                    nt,
-                    Blas3Op::Trmm {
-                        side: Side::Left,
-                        uplo: Uplo::Upper,
-                        trans: Transpose::No,
-                        diag: Diag::NonUnit,
-                        alpha: one,
-                        a: a.as_ref(),
-                        b: b.as_mut(),
-                    },
-                )
-                .expect("timer trmm must be well-formed");
-            t0.elapsed().as_secs_f64()
-        }
-        OpKind::Trsm => {
-            let (m, n) = (dims.a(), dims.b());
-            let mut a = gen(m, m, 10);
-            for i in 0..m {
-                a.set(i, i, T::from_f64(4.0 + (i % 3) as f64));
-            }
-            let mut b = gen(m, n, 11);
-            let t0 = Instant::now();
-            backend
-                .execute(
-                    nt,
-                    Blas3Op::Trsm {
-                        side: Side::Left,
-                        uplo: Uplo::Upper,
-                        trans: Transpose::No,
-                        diag: Diag::NonUnit,
-                        alpha: one,
-                        a: a.as_ref(),
-                        b: b.as_mut(),
-                    },
-                )
-                .expect("timer trsm must be well-formed");
-            t0.elapsed().as_secs_f64()
-        }
-        // Level 2: same deterministic operands one dimension down. TRSV
-        // needs the same diagonal dominance as TRSM.
-        OpKind::Gemv => {
-            let (m, n) = (dims.a(), dims.b());
-            let a = gen(m, n, 12);
-            let x = genv(n, 13);
-            let mut y = vec![T::ZERO; m];
-            let t0 = Instant::now();
-            backend
-                .execute2(
-                    nt,
-                    Blas2Op::Gemv {
-                        trans: Transpose::No,
-                        alpha: one,
-                        a: a.as_ref(),
-                        x: VecRef::new(n, 1, &x),
-                        beta: T::ZERO,
-                        y: VecMut::new(m, 1, &mut y),
-                    },
-                )
-                .expect("timer gemv must be well-formed");
-            t0.elapsed().as_secs_f64()
-        }
-        OpKind::Ger => {
-            let (m, n) = (dims.a(), dims.b());
-            let x = genv(m, 14);
-            let y = genv(n, 15);
-            let mut a = gen(m, n, 16);
-            let t0 = Instant::now();
-            backend
-                .execute2(
-                    nt,
-                    Blas2Op::Ger {
-                        alpha: one,
-                        x: VecRef::new(m, 1, &x),
-                        y: VecRef::new(n, 1, &y),
-                        a: a.as_mut(),
-                    },
-                )
-                .expect("timer ger must be well-formed");
-            t0.elapsed().as_secs_f64()
-        }
-        OpKind::Symv => {
-            let n = dims.a();
-            let a = gen(n, n, 17);
-            let x = genv(n, 18);
-            let mut y = vec![T::ZERO; n];
-            let t0 = Instant::now();
-            backend
-                .execute2(
-                    nt,
-                    Blas2Op::Symv {
-                        uplo: Uplo::Upper,
-                        alpha: one,
-                        a: a.as_ref(),
-                        x: VecRef::new(n, 1, &x),
-                        beta: T::ZERO,
-                        y: VecMut::new(n, 1, &mut y),
-                    },
-                )
-                .expect("timer symv must be well-formed");
-            t0.elapsed().as_secs_f64()
-        }
-        OpKind::Trmv => {
-            let n = dims.a();
-            let a = gen(n, n, 19);
-            let mut x = genv(n, 20);
-            let t0 = Instant::now();
-            backend
-                .execute2(
-                    nt,
-                    Blas2Op::Trmv {
-                        uplo: Uplo::Upper,
-                        trans: Transpose::No,
-                        diag: Diag::NonUnit,
-                        a: a.as_ref(),
-                        x: VecMut::new(n, 1, &mut x),
-                    },
-                )
-                .expect("timer trmv must be well-formed");
-            t0.elapsed().as_secs_f64()
-        }
-        OpKind::Trsv => {
-            let n = dims.a();
-            let mut a = gen(n, n, 21);
-            for i in 0..n {
-                a.set(i, i, T::from_f64(4.0 + (i % 3) as f64));
-            }
-            let mut x = genv(n, 22);
-            let t0 = Instant::now();
-            backend
-                .execute2(
-                    nt,
-                    Blas2Op::Trsv {
-                        uplo: Uplo::Upper,
-                        trans: Transpose::No,
-                        diag: Diag::NonUnit,
-                        a: a.as_ref(),
-                        x: VecMut::new(n, 1, &mut x),
-                    },
-                )
-                .expect("timer trsv must be well-formed");
-            t0.elapsed().as_secs_f64()
-        }
+        OpKind::Gemm => OwnedOp::Gemm {
+            transa: Transpose::No,
+            transb: Transpose::No,
+            alpha: one,
+            a: gen(d0, d1, 1),
+            b: gen(d1, dims.c(), 2),
+            beta: zero,
+            c: Matrix::zeros(d0, dims.c()),
+        },
+        OpKind::Symm => OwnedOp::Symm {
+            side: Side::Left,
+            uplo: Uplo::Upper,
+            alpha: one,
+            a: gen(d0, d0, 3),
+            b: gen(d0, d1, 4),
+            beta: zero,
+            c: Matrix::zeros(d0, d1),
+        },
+        OpKind::Syrk => OwnedOp::Syrk {
+            uplo: Uplo::Lower,
+            trans: Transpose::No,
+            alpha: one,
+            a: gen(d0, d1, 5),
+            beta: zero,
+            c: Matrix::zeros(d0, d0),
+        },
+        OpKind::Syr2k => OwnedOp::Syr2k {
+            uplo: Uplo::Lower,
+            trans: Transpose::No,
+            alpha: one,
+            a: gen(d0, d1, 6),
+            b: gen(d0, d1, 7),
+            beta: zero,
+            c: Matrix::zeros(d0, d0),
+        },
+        OpKind::Trmm => OwnedOp::Trmm {
+            side: Side::Left,
+            uplo: Uplo::Upper,
+            trans: Transpose::No,
+            diag: Diag::NonUnit,
+            alpha: one,
+            a: gen(d0, d0, 8),
+            b: gen(d0, d1, 9),
+        },
+        OpKind::Trsm => OwnedOp::Trsm {
+            side: Side::Left,
+            uplo: Uplo::Upper,
+            trans: Transpose::No,
+            diag: Diag::NonUnit,
+            alpha: one,
+            a: dominant(d0, 10),
+            b: gen(d0, d1, 11),
+        },
+        OpKind::Gemv => OwnedOp::Gemv {
+            trans: Transpose::No,
+            alpha: one,
+            a: gen(d0, d1, 12),
+            x: genv(d1, 13),
+            beta: zero,
+            y: Matrix::zeros(d0, 1),
+        },
+        OpKind::Ger => OwnedOp::Ger {
+            alpha: one,
+            x: genv(d0, 14),
+            y: genv(d1, 15),
+            a: gen(d0, d1, 16),
+        },
+        OpKind::Symv => OwnedOp::Symv {
+            uplo: Uplo::Upper,
+            alpha: one,
+            a: gen(d0, d0, 17),
+            x: genv(d0, 18),
+            beta: zero,
+            y: Matrix::zeros(d0, 1),
+        },
+        OpKind::Trmv => OwnedOp::Trmv {
+            uplo: Uplo::Upper,
+            trans: Transpose::No,
+            diag: Diag::NonUnit,
+            a: gen(d0, d0, 19),
+            x: genv(d0, 20),
+        },
+        OpKind::Trsv => OwnedOp::Trsv {
+            uplo: Uplo::Upper,
+            trans: Transpose::No,
+            diag: Diag::NonUnit,
+            a: dominant(d0, 21),
+            x: genv(d0, 22),
+        },
     }
+}
+
+/// Build operands, execute one call through the backend, return elapsed
+/// seconds (operand construction excluded).
+fn run_typed<T: Float, B: Blas3Backend>(backend: &B, op: OpKind, dims: Dims, nt: usize) -> f64 {
+    let mut call = synth::<T>(op, dims);
+    let t0 = Instant::now();
+    backend
+        .execute(nt, call.as_op())
+        .unwrap_or_else(|e| panic!("timer {op:?} call must be well-formed: {e}"));
+    t0.elapsed().as_secs_f64()
 }
 
 impl<B: Blas3Backend> BlasTimer for RealTimer<B> {

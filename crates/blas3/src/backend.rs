@@ -18,20 +18,13 @@
 //! available on any sized backend type.
 
 use crate::call::{Blas3Error, Blas3Op};
-use crate::call2::Blas2Op;
 use crate::matrix::{MatMut, Matrix};
 use crate::pool::ThreadPool;
 use crate::{reference, Float};
 
-/// An executor of BLAS Level 3 call descriptions with explicit thread count.
+/// An executor of BLAS call descriptions with explicit thread count.
 ///
-/// Since the Level 2 family landed the name undersells the trait: backends
-/// may also execute [`Blas2Op`] descriptions through
-/// [`Blas3Backend::execute2_f32`]/[`execute2_f64`](Blas3Backend::execute2_f64).
-/// Those entry points have defaults returning
-/// [`Blas3Error::UnsupportedRoutine`], so a pre-existing backend (an FFI
-/// binding, a test double) keeps compiling and simply declines Level 2 work
-/// until it opts in.
+/// One entry point per precision serves every Level 3 and Level 2 family.
 pub trait Blas3Backend: Send + Sync {
     /// Short backend identifier, used in platform labels and reports.
     fn name(&self) -> &str;
@@ -46,28 +39,6 @@ pub trait Blas3Backend: Send + Sync {
     /// Execute a double-precision call with `nt` threads.
     fn execute_f64(&self, nt: usize, op: Blas3Op<'_, f64>) -> Result<(), Blas3Error>;
 
-    /// Execute a single-precision Level 2 call with `nt` threads.
-    ///
-    /// Default: decline with [`Blas3Error::UnsupportedRoutine`].
-    fn execute2_f32(&self, nt: usize, op: Blas2Op<'_, f32>) -> Result<(), Blas3Error> {
-        let _ = nt;
-        Err(Blas3Error::UnsupportedRoutine {
-            backend: "unnamed",
-            op: op.op_kind(),
-        })
-    }
-
-    /// Execute a double-precision Level 2 call with `nt` threads.
-    ///
-    /// Default: decline with [`Blas3Error::UnsupportedRoutine`].
-    fn execute2_f64(&self, nt: usize, op: Blas2Op<'_, f64>) -> Result<(), Blas3Error> {
-        let _ = nt;
-        Err(Blas3Error::UnsupportedRoutine {
-            backend: "unnamed",
-            op: op.op_kind(),
-        })
-    }
-
     /// Execute a call of either precision (generic convenience over the
     /// monomorphic entry points; `where Self: Sized` keeps the trait
     /// object-safe).
@@ -76,14 +47,6 @@ pub trait Blas3Backend: Send + Sync {
         Self: Sized,
     {
         T::dispatch_op(self, nt, op)
-    }
-
-    /// Execute a Level 2 call of either precision.
-    fn execute2<T: Float>(&self, nt: usize, op: Blas2Op<'_, T>) -> Result<(), Blas3Error>
-    where
-        Self: Sized,
-    {
-        T::dispatch_op2(self, nt, op)
     }
 }
 
@@ -100,12 +63,6 @@ impl<B: Blas3Backend + ?Sized> Blas3Backend for &B {
     fn execute_f64(&self, nt: usize, op: Blas3Op<'_, f64>) -> Result<(), Blas3Error> {
         (**self).execute_f64(nt, op)
     }
-    fn execute2_f32(&self, nt: usize, op: Blas2Op<'_, f32>) -> Result<(), Blas3Error> {
-        (**self).execute2_f32(nt, op)
-    }
-    fn execute2_f64(&self, nt: usize, op: Blas2Op<'_, f64>) -> Result<(), Blas3Error> {
-        (**self).execute2_f64(nt, op)
-    }
 }
 
 impl<B: Blas3Backend + ?Sized> Blas3Backend for Box<B> {
@@ -121,12 +78,6 @@ impl<B: Blas3Backend + ?Sized> Blas3Backend for Box<B> {
     fn execute_f64(&self, nt: usize, op: Blas3Op<'_, f64>) -> Result<(), Blas3Error> {
         (**self).execute_f64(nt, op)
     }
-    fn execute2_f32(&self, nt: usize, op: Blas2Op<'_, f32>) -> Result<(), Blas3Error> {
-        (**self).execute2_f32(nt, op)
-    }
-    fn execute2_f64(&self, nt: usize, op: Blas2Op<'_, f64>) -> Result<(), Blas3Error> {
-        (**self).execute2_f64(nt, op)
-    }
 }
 
 /// This crate's blocked, thread-pool-parallel kernels.
@@ -134,12 +85,14 @@ impl<B: Blas3Backend + ?Sized> Blas3Backend for Box<B> {
 pub struct NativeBackend;
 
 impl NativeBackend {
-    /// Validate and execute one call with the blocked kernels.
+    /// Validate and execute one call: Level 3 with the blocked kernels,
+    /// Level 2 with the streaming column kernels of [`crate::level2`].
     pub fn run<T: Float>(&self, nt: usize, op: Blas3Op<'_, T>) -> Result<(), Blas3Error> {
         op.validate()?;
         // One source of shape truth: the canonical dimension tuple the
         // runtime also predicts from (GEMM (m, k, n); SYMM (m, n);
-        // SYRK/SYR2K (n, k); TRMM/TRSM (m, n)).
+        // SYRK/SYR2K (n, k); TRMM/TRSM (m, n); GEMV/GER (m, n); SYMV/TRMV/
+        // TRSV (n)).
         let dims = op.dims();
         match op {
             Blas3Op::Gemm {
@@ -300,16 +253,7 @@ impl NativeBackend {
                     ldb,
                 );
             }
-        }
-        Ok(())
-    }
-
-    /// Validate and execute one Level 2 call with the streaming column
-    /// kernels of [`crate::level2`].
-    pub fn run2<T: Float>(&self, nt: usize, op: Blas2Op<'_, T>) -> Result<(), Blas3Error> {
-        op.validate()?;
-        match op {
-            Blas2Op::Gemv {
+            Blas3Op::Gemv {
                 trans,
                 alpha,
                 a,
@@ -317,7 +261,7 @@ impl NativeBackend {
                 beta,
                 y,
             } => {
-                let (m, n, lda) = (a.rows(), a.cols(), a.ld());
+                let (m, n, lda) = (dims.a(), dims.b(), a.ld());
                 let (incx, incy) = (x.inc(), y.inc());
                 crate::level2::gemv(
                     nt,
@@ -334,8 +278,8 @@ impl NativeBackend {
                     incy,
                 );
             }
-            Blas2Op::Ger { alpha, x, y, a } => {
-                let (m, n, lda) = (a.rows(), a.cols(), a.ld());
+            Blas3Op::Ger { alpha, x, y, a } => {
+                let (m, n, lda) = (dims.a(), dims.b(), a.ld());
                 crate::level2::ger(
                     nt,
                     m,
@@ -349,7 +293,7 @@ impl NativeBackend {
                     lda,
                 );
             }
-            Blas2Op::Symv {
+            Blas3Op::Symv {
                 uplo,
                 alpha,
                 a,
@@ -357,7 +301,7 @@ impl NativeBackend {
                 beta,
                 y,
             } => {
-                let (n, lda) = (a.rows(), a.ld());
+                let (n, lda) = (dims.a(), a.ld());
                 let (incx, incy) = (x.inc(), y.inc());
                 crate::level2::symv(
                     nt,
@@ -373,25 +317,25 @@ impl NativeBackend {
                     incy,
                 );
             }
-            Blas2Op::Trmv {
+            Blas3Op::Trmv {
                 uplo,
                 trans,
                 diag,
                 a,
                 x,
             } => {
-                let (n, lda) = (a.rows(), a.ld());
+                let (n, lda) = (dims.a(), a.ld());
                 let incx = x.inc();
                 crate::level2::trmv(uplo, trans, diag, n, a.data(), lda, x.into_slice(), incx);
             }
-            Blas2Op::Trsv {
+            Blas3Op::Trsv {
                 uplo,
                 trans,
                 diag,
                 a,
                 x,
             } => {
-                let (n, lda) = (a.rows(), a.ld());
+                let (n, lda) = (dims.a(), a.ld());
                 let incx = x.inc();
                 crate::level2::trsv(uplo, trans, diag, n, a.data(), lda, x.into_slice(), incx);
             }
@@ -415,14 +359,6 @@ impl Blas3Backend for NativeBackend {
 
     fn execute_f64(&self, nt: usize, op: Blas3Op<'_, f64>) -> Result<(), Blas3Error> {
         self.run(nt, op)
-    }
-
-    fn execute2_f32(&self, nt: usize, op: Blas2Op<'_, f32>) -> Result<(), Blas3Error> {
-        self.run2(nt, op)
-    }
-
-    fn execute2_f64(&self, nt: usize, op: Blas2Op<'_, f64>) -> Result<(), Blas3Error> {
-        self.run2(nt, op)
     }
 }
 
@@ -537,15 +473,7 @@ impl ReferenceBackend {
                 reference::trsm(side, uplo, trans, diag, alpha, &am, &mut bm);
                 write_back(&mut b, &bm);
             }
-        }
-        Ok(())
-    }
-
-    /// Validate and execute one Level 2 call with the naive oracles.
-    pub fn run2<T: Float>(&self, _nt: usize, op: Blas2Op<'_, T>) -> Result<(), Blas3Error> {
-        op.validate()?;
-        match op {
-            Blas2Op::Gemv {
+            Blas3Op::Gemv {
                 trans,
                 alpha,
                 a,
@@ -559,14 +487,14 @@ impl ReferenceBackend {
                 reference::gemv(trans, alpha, &am, &xv, beta, &mut yb);
                 y.copy_from_slice(&yb);
             }
-            Blas2Op::Ger { alpha, x, y, mut a } => {
+            Blas3Op::Ger { alpha, x, y, mut a } => {
                 let xv = x.to_vec();
                 let yv = y.to_vec();
                 let mut am = a.as_ref().to_matrix();
                 reference::ger(alpha, &xv, &yv, &mut am);
                 write_back(&mut a, &am);
             }
-            Blas2Op::Symv {
+            Blas3Op::Symv {
                 uplo,
                 alpha,
                 a,
@@ -580,7 +508,7 @@ impl ReferenceBackend {
                 reference::symv(uplo, alpha, &am, &xv, beta, &mut yb);
                 y.copy_from_slice(&yb);
             }
-            Blas2Op::Trmv {
+            Blas3Op::Trmv {
                 uplo,
                 trans,
                 diag,
@@ -592,7 +520,7 @@ impl ReferenceBackend {
                 reference::trmv(uplo, trans, diag, &am, &mut xb);
                 x.copy_from_slice(&xb);
             }
-            Blas2Op::Trsv {
+            Blas3Op::Trsv {
                 uplo,
                 trans,
                 diag,
@@ -624,13 +552,5 @@ impl Blas3Backend for ReferenceBackend {
 
     fn execute_f64(&self, nt: usize, op: Blas3Op<'_, f64>) -> Result<(), Blas3Error> {
         self.run(nt, op)
-    }
-
-    fn execute2_f32(&self, nt: usize, op: Blas2Op<'_, f32>) -> Result<(), Blas3Error> {
-        self.run2(nt, op)
-    }
-
-    fn execute2_f64(&self, nt: usize, op: Blas2Op<'_, f64>) -> Result<(), Blas3Error> {
-        self.run2(nt, op)
     }
 }

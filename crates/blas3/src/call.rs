@@ -1,10 +1,18 @@
-//! The unified call-description layer: one value per BLAS Level 3 call.
+//! The unified call-description layer: one value per BLAS call.
 //!
-//! A [`Blas3Op`] bundles everything a Level 3 call needs — operand flags,
-//! scalars, and typed matrix views — into a single enum with one variant per
-//! subroutine family. Backends ([`crate::backend::Blas3Backend`]) consume
-//! these descriptions; the ADSALA runtime produces them, predicts a thread
-//! count from [`Blas3Op::dims`], and dispatches.
+//! A [`Blas3Op`] bundles everything a call needs — operand flags, scalars,
+//! typed matrix views and, for the Level 2 families, typed strided vector
+//! views — into a single enum with one variant per subroutine family: the
+//! six Level 3 families of paper Table I and the five matrix-vector
+//! families (GEMV, GER, SYMV, TRMV, TRSV). Backends
+//! ([`crate::backend::Blas3Backend`]) consume these descriptions; the ADSALA
+//! runtime produces them, predicts a thread count from [`Blas3Op::dims`],
+//! and dispatches.
+//!
+//! The Level 2 families are the crate's memory-bound regime: every routine
+//! performs O(n^2) flops over O(n^2) bytes, so arithmetic intensity stays
+//! O(1) and the profitable thread count saturates at the memory-bandwidth
+//! knee rather than the core count.
 //!
 //! [`Blas3Op::validate`] turns the cross-operand dimension rules of the BLAS
 //! specification into typed [`Blas3Error`]s instead of scattered panics, so
@@ -12,10 +20,11 @@
 
 use crate::matrix::{MatMut, MatRef};
 use crate::op::{Diag, Dims, OpKind, Routine, Side, Transpose, Uplo};
+use crate::vector::{VecMut, VecRef};
 use crate::Float;
 use std::fmt;
 
-/// Typed error for malformed BLAS Level 3 calls and views.
+/// Typed error for malformed BLAS calls and views.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Blas3Error {
@@ -101,14 +110,6 @@ pub enum Blas3Error {
         /// Actual slice length.
         got: usize,
     },
-    /// The backend does not implement this routine family (e.g. a
-    /// Level-3-only backend handed a Level 2 call).
-    UnsupportedRoutine {
-        /// Backend name.
-        backend: &'static str,
-        /// The unsupported family.
-        op: OpKind,
-    },
     /// The backend failed executing an otherwise well-formed call.
     ///
     /// Raised by fallible backends (notably [`crate::fault::FaultBackend`])
@@ -125,8 +126,8 @@ pub enum Blas3Error {
 
 impl Blas3Error {
     /// `true` when the error is a transient backend fault that a caller may
-    /// retry. Every other variant — validation errors, unsupported routines,
-    /// fatal faults — is deterministic and will fail again identically.
+    /// retry. Every other variant — validation errors, fatal faults — is
+    /// deterministic and will fail again identically.
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
@@ -192,9 +193,6 @@ impl fmt::Display for Blas3Error {
                 f,
                 "{name}: slice too short for {len}-vector inc {inc}: length {got} < required {needed}"
             ),
-            Blas3Error::UnsupportedRoutine { backend, op } => {
-                write!(f, "backend {backend} does not implement {}", op.name())
-            }
             Blas3Error::BackendFault { backend, transient } => {
                 let kind = if *transient { "transient" } else { "fatal" };
                 write!(f, "backend {backend}: {kind} fault")
@@ -213,11 +211,12 @@ fn op_shape<T: Float>(m: &MatRef<'_, T>, trans: Transpose) -> (usize, usize) {
     }
 }
 
-/// A fully-described BLAS Level 3 call: flags, scalars, and operand views.
+/// A fully-described BLAS call: flags, scalars, and operand views.
 ///
-/// One variant per subroutine family (paper Table I). Dimensions are not
-/// stored redundantly — they derive from the views via [`Blas3Op::dims`],
-/// and [`Blas3Op::validate`] checks the cross-operand consistency rules.
+/// One variant per subroutine family: the six Level 3 families of paper
+/// Table I, then the five Level 2 families. Dimensions are not stored
+/// redundantly — they derive from the views via [`Blas3Op::dims`], and
+/// [`Blas3Op::validate`] checks the cross-operand consistency rules.
 #[derive(Debug)]
 pub enum Blas3Op<'a, T: Float> {
     /// `C = alpha * op(A) * op(B) + beta * C`.
@@ -325,6 +324,75 @@ pub enum Blas3Op<'a, T: Float> {
         /// In-place right-hand sides.
         b: MatMut<'a, T>,
     },
+    /// `y = alpha * op(A) * x + beta * y`.
+    Gemv {
+        /// Transpose flag for A.
+        trans: Transpose,
+        /// Scale on the product.
+        alpha: T,
+        /// Matrix operand (stored orientation; `trans` applies on top).
+        a: MatRef<'a, T>,
+        /// Input vector (length = columns of `op(A)`).
+        x: VecRef<'a, T>,
+        /// Scale on the existing y.
+        beta: T,
+        /// Output vector (length = rows of `op(A)`).
+        y: VecMut<'a, T>,
+    },
+    /// Rank-1 update `A = alpha * x * y' + A`, in place on A.
+    Ger {
+        /// Scale on the outer product.
+        alpha: T,
+        /// Column vector (length = rows of A).
+        x: VecRef<'a, T>,
+        /// Row vector (length = columns of A).
+        y: VecRef<'a, T>,
+        /// In-place matrix operand.
+        a: MatMut<'a, T>,
+    },
+    /// `y = alpha * A * x + beta * y`, A symmetric with only the `uplo`
+    /// triangle stored.
+    Symv {
+        /// Stored triangle of A.
+        uplo: Uplo,
+        /// Scale on the product.
+        alpha: T,
+        /// Symmetric operand.
+        a: MatRef<'a, T>,
+        /// Input vector.
+        x: VecRef<'a, T>,
+        /// Scale on the existing y.
+        beta: T,
+        /// Output vector.
+        y: VecMut<'a, T>,
+    },
+    /// `x = op(A) * x`, A triangular; x is updated in place.
+    Trmv {
+        /// Stored triangle of A.
+        uplo: Uplo,
+        /// Transpose flag for A.
+        trans: Transpose,
+        /// Unit-diagonal flag for A.
+        diag: Diag,
+        /// Triangular operand.
+        a: MatRef<'a, T>,
+        /// In-place vector operand.
+        x: VecMut<'a, T>,
+    },
+    /// Solve `op(A) * x = b` where b arrives in x and the solution
+    /// overwrites it; A triangular.
+    Trsv {
+        /// Stored triangle of A.
+        uplo: Uplo,
+        /// Transpose flag for A.
+        trans: Transpose,
+        /// Unit-diagonal flag for A.
+        diag: Diag,
+        /// Triangular operand.
+        a: MatRef<'a, T>,
+        /// In-place right-hand side / solution vector.
+        x: VecMut<'a, T>,
+    },
 }
 
 impl<'a, T: Float> Blas3Op<'a, T> {
@@ -337,6 +405,11 @@ impl<'a, T: Float> Blas3Op<'a, T> {
             Blas3Op::Syr2k { .. } => OpKind::Syr2k,
             Blas3Op::Trmm { .. } => OpKind::Trmm,
             Blas3Op::Trsm { .. } => OpKind::Trsm,
+            Blas3Op::Gemv { .. } => OpKind::Gemv,
+            Blas3Op::Ger { .. } => OpKind::Ger,
+            Blas3Op::Symv { .. } => OpKind::Symv,
+            Blas3Op::Trmv { .. } => OpKind::Trmv,
+            Blas3Op::Trsv { .. } => OpKind::Trsv,
         }
     }
 
@@ -347,10 +420,12 @@ impl<'a, T: Float> Blas3Op<'a, T> {
 
     /// Canonical dimension tuple (paper Table I order), derived from the
     /// operand views: GEMM `(m, k, n)`; SYMM `(m, n)`; SYRK/SYR2K `(n, k)`;
-    /// TRMM/TRSM `(m, n)`.
+    /// TRMM/TRSM `(m, n)`; GEMV/GER `(m, n)` from A's stored shape;
+    /// SYMV/TRMV/TRSV `(n)`.
     ///
     /// Meaningful only up to the consistency [`Blas3Op::validate`] checks;
-    /// on an inconsistent call the extents come from C (and `k` from A).
+    /// on an inconsistent Level 3 call the extents come from C (and `k`
+    /// from A), on a Level 2 call from A.
     pub fn dims(&self) -> Dims {
         match self {
             Blas3Op::Gemm { transa, a, c, .. } => {
@@ -367,6 +442,11 @@ impl<'a, T: Float> Blas3Op<'a, T> {
                 Dims::d2(c.rows(), k)
             }
             Blas3Op::Trmm { b, .. } | Blas3Op::Trsm { b, .. } => Dims::d2(b.rows(), b.cols()),
+            Blas3Op::Gemv { a, .. } => Dims::d2(a.rows(), a.cols()),
+            Blas3Op::Ger { a, .. } => Dims::d2(a.rows(), a.cols()),
+            Blas3Op::Symv { a, .. } | Blas3Op::Trmv { a, .. } | Blas3Op::Trsv { a, .. } => {
+                Dims::d1(a.rows())
+            }
         }
     }
 
@@ -471,6 +551,24 @@ impl<'a, T: Float> Blas3Op<'a, T> {
                     Side::Right => b.cols(),
                 };
                 matches("A order and the multiplied B extent", a.rows(), expect)
+            }
+            Blas3Op::Gemv { trans, a, x, y, .. } => {
+                let (rows, cols) = op_shape(a, *trans);
+                matches("op(A) columns and x length", cols, x.len())?;
+                matches("op(A) rows and y length", rows, y.len())
+            }
+            Blas3Op::Ger { x, y, a, .. } => {
+                matches("A rows and x length", a.rows(), x.len())?;
+                matches("A columns and y length", a.cols(), y.len())
+            }
+            Blas3Op::Symv { a, x, y, .. } => {
+                square("A", a)?;
+                matches("A order and x length", a.rows(), x.len())?;
+                matches("A order and y length", a.rows(), y.len())
+            }
+            Blas3Op::Trmv { a, x, .. } | Blas3Op::Trsv { a, x, .. } => {
+                square("A", a)?;
+                matches("A order and x length", a.rows(), x.len())
             }
         }
     }
@@ -609,6 +707,97 @@ mod tests {
         };
         assert_eq!(op.dims(), Dims::d3(3, 5, 7));
         assert_eq!(op.routine().name(), "sgemm");
+        assert!(op.validate().is_ok());
+    }
+
+    #[test]
+    fn op_kind_dims_routine_and_costs() {
+        let a = Matrix::<f64>::zeros(3, 5);
+        let x = [0.0f64; 5];
+        let mut y = [0.0f64; 3];
+        let op = Blas3Op::Gemv {
+            trans: Transpose::No,
+            alpha: 1.0,
+            a: a.as_ref(),
+            x: VecRef::new(5, 1, &x),
+            beta: 0.0,
+            y: VecMut::new(3, 1, &mut y),
+        };
+        assert_eq!(op.op_kind(), OpKind::Gemv);
+        assert_eq!(op.dims(), Dims::d2(3, 5));
+        assert_eq!(op.routine().name(), "dgemv");
+        assert_eq!(op.flops(), 30.0);
+        assert_eq!(op.bytes_touched(), (15.0 + 8.0) * 8.0);
+        assert!(op.validate().is_ok());
+    }
+
+    #[test]
+    fn transposed_gemv_swaps_vector_roles() {
+        let a = Matrix::<f32>::zeros(3, 5); // op(A) = A' is 5x3
+        let x = [0.0f32; 3];
+        let mut y = [0.0f32; 5];
+        let op = Blas3Op::Gemv {
+            trans: Transpose::Yes,
+            alpha: 1.0,
+            a: a.as_ref(),
+            x: VecRef::new(3, 1, &x),
+            beta: 0.0,
+            y: VecMut::new(5, 1, &mut y),
+        };
+        assert_eq!(op.dims(), Dims::d2(3, 5), "dims follow A's stored shape");
+        assert!(op.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_mismatched_operands() {
+        let a = Matrix::<f64>::zeros(3, 5);
+        let x = [0.0f64; 4]; // wrong: needs 5
+        let mut y = [0.0f64; 3];
+        let op = Blas3Op::Gemv {
+            trans: Transpose::No,
+            alpha: 1.0,
+            a: a.as_ref(),
+            x: VecRef::new(4, 1, &x),
+            beta: 0.0,
+            y: VecMut::new(3, 1, &mut y),
+        };
+        assert!(matches!(
+            op.validate().unwrap_err(),
+            Blas3Error::DimMismatch { got: (5, 4), .. }
+        ));
+
+        let tall = Matrix::<f64>::zeros(4, 3);
+        let mut xv = [0.0f64; 4];
+        let op = Blas3Op::Trmv {
+            uplo: Uplo::Upper,
+            trans: Transpose::No,
+            diag: Diag::NonUnit,
+            a: tall.as_ref(),
+            x: VecMut::new(4, 1, &mut xv),
+        };
+        assert!(matches!(
+            op.validate().unwrap_err(),
+            Blas3Error::NotSquare {
+                rows: 4,
+                cols: 3,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn ger_dims_and_validation() {
+        let mut a = Matrix::<f64>::zeros(3, 5);
+        let x = [0.0f64; 3];
+        let y = [0.0f64; 5];
+        let op = Blas3Op::Ger {
+            alpha: 1.0,
+            x: VecRef::new(3, 1, &x),
+            y: VecRef::new(5, 1, &y),
+            a: a.as_mut(),
+        };
+        assert_eq!(op.dims(), Dims::d2(3, 5));
+        assert_eq!(op.flops(), 30.0);
         assert!(op.validate().is_ok());
     }
 }

@@ -9,9 +9,6 @@
 //! when splitting columns), and the tile split stays balanced at thread
 //! counts where per-worker C chunks would go ragged.
 //!
-//! The pre-cooperative driver is kept as [`gemm_chunked`] so benches and
-//! parity tests can race the two strategies.
-//!
 //! Within the backend seam this module is the kernel level: the wide
 //! slice-signature entry point below is what
 //! [`NativeBackend`](crate::backend::NativeBackend) invokes for a validated
@@ -106,109 +103,6 @@ pub fn gemm<T: Float>(
                 ldc,
                 &shared,
             );
-        }
-    });
-}
-
-/// The pre-cooperative parallel strategy: split the larger extent of C into
-/// per-thread chunks, each worker running the *legacy* serial engine
-/// (closure-gather packing, fresh heap buffers) on its private chunk — so
-/// the shared operand is re-packed by every worker.
-///
-/// Kept only as the baseline the `parallel_scaling` bench and the parity
-/// suite race [`gemm`] against; not used by any backend path.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_chunked<T: Float>(
-    nt: usize,
-    transa: Transpose,
-    transb: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    beta: T,
-    c: &mut [T],
-    ldc: usize,
-) {
-    use crate::kernel::legacy::gemm_serial_gather;
-    let (ar, ac) = match transa {
-        Transpose::No => (m, k),
-        Transpose::Yes => (k, m),
-    };
-    let (br, bc) = match transb {
-        Transpose::No => (k, n),
-        Transpose::Yes => (n, k),
-    };
-    check_operand("gemm A", ar, ac, lda, a);
-    check_operand("gemm B", br, bc, ldb, b);
-    check_operand("gemm C", m, n, ldc, c);
-    if m == 0 || n == 0 {
-        return;
-    }
-    let a_at = move |i: usize, p: usize| match transa {
-        Transpose::No => a[i + p * lda],
-        Transpose::Yes => a[p + i * lda],
-    };
-    let b_at = move |p: usize, j: usize| match transb {
-        Transpose::No => b[p + j * ldb],
-        Transpose::Yes => b[j + p * ldb],
-    };
-    let cptr = SendPtr(c.as_mut_ptr());
-    let skip_product = alpha == T::ZERO || k == 0;
-    let split_cols = n >= m;
-    let disp = T::kernel();
-    ThreadPool::run_current(nt, |tid| {
-        if split_cols {
-            let (js, je) = ThreadPool::chunk(n, nt, tid);
-            if js >= je {
-                return;
-            }
-            // SAFETY: disjoint column ranges per worker.
-            unsafe {
-                let cp = cptr.get().add(js * ldc);
-                scale_block(m, je - js, beta, cp, ldc);
-                if !skip_product {
-                    gemm_serial_gather(
-                        &disp,
-                        m,
-                        je - js,
-                        k,
-                        alpha,
-                        &a_at,
-                        &|p, j| b_at(p, js + j),
-                        cp,
-                        ldc,
-                    );
-                }
-            }
-        } else {
-            let (is, ie) = ThreadPool::chunk(m, nt, tid);
-            if is >= ie {
-                return;
-            }
-            // SAFETY: disjoint row ranges per worker.
-            unsafe {
-                let cp = cptr.get().add(is);
-                scale_block(ie - is, n, beta, cp, ldc);
-                if !skip_product {
-                    gemm_serial_gather(
-                        &disp,
-                        ie - is,
-                        n,
-                        k,
-                        alpha,
-                        &|i, p| a_at(is + i, p),
-                        &b_at,
-                        cp,
-                        ldc,
-                    );
-                }
-            }
         }
     });
 }
@@ -331,46 +225,6 @@ mod tests {
             let mut c = c0.clone();
             gemm_mat(nt, Transpose::No, Transpose::Yes, 1.1, &a, &b, -0.4, &mut c);
             assert_eq!(c.as_slice(), base.as_slice(), "nt={nt} changed bits");
-        }
-    }
-
-    #[test]
-    fn chunked_baseline_matches_cooperative() {
-        let (m, n, k) = (90, 110, 70);
-        let a = test_mat(m, k, 11);
-        let b = test_mat(k, n, 12);
-        let c0 = test_mat(m, n, 13);
-        for nt in [1usize, 4] {
-            let mut coop = c0.clone();
-            gemm_mat(
-                nt,
-                Transpose::No,
-                Transpose::No,
-                1.0,
-                &a,
-                &b,
-                0.5,
-                &mut coop,
-            );
-            let mut chunked = c0.clone();
-            gemm_chunked(
-                nt,
-                Transpose::No,
-                Transpose::No,
-                m,
-                n,
-                k,
-                1.0,
-                a.as_slice(),
-                m,
-                b.as_slice(),
-                k,
-                0.5,
-                chunked.as_mut_slice(),
-                m,
-            );
-            let scale = coop.frob_norm().max(1.0);
-            assert!(coop.max_abs_diff(&chunked) / scale < 1e-12, "nt={nt}");
         }
     }
 

@@ -2,7 +2,7 @@
 //! one.
 //!
 //! Each kernel computes the same packed-panel tile product as
-//! [`scalar_microkernel`](super::scalar_microkernel) — `C[0..mr, 0..nr] +=
+//! [`scalar_microkernel`] — `C[0..mr, 0..nr] +=
 //! alpha * Apanel * Bpanel` — but with hand-placed vector FMAs and a tile
 //! geometry chosen for the register file of its instruction set:
 //!

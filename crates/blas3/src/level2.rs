@@ -5,7 +5,7 @@
 //! and the packed-panel machinery the Level 3 drivers use would only add
 //! traffic. Each routine is instead a walk over raw column-major columns
 //! built from the two streaming primitives of
-//! [`Level2Dispatch`](crate::kernel::level2::Level2Dispatch) — `axpy` for
+//! [`Level2Dispatch`] — `axpy` for
 //! column updates, `dot` for column reductions — with software prefetch of
 //! the next column when the selected kernel asks for it.
 //!

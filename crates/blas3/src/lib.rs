@@ -23,13 +23,13 @@
 //!   [`Diag`]) and the [`OpKind`] descriptor encoding Table I of the paper.
 //! * [`matrix`] — owned column-major matrices and the checked, typed
 //!   [`MatRef`]/[`MatMut`] operand views.
-//! * [`call`] / [`call2`] — the unified call-description layers: one
-//!   [`Blas3Op`] value per Level 3 call and one [`Blas2Op`] per Level 2
-//!   call, with typed [`Blas3Error`] validation. Level 2 operands use the
-//!   strided [`VecRef`]/[`VecMut`] views from [`vector`].
-//! * [`owned`] / [`owned2`] — [`OwnedOp`] and [`OwnedOp2`], the owned
-//!   `'static` mirrors of the call descriptions that queued/deferred
-//!   executors (the `adsala-serve` crate) move jobs around with.
+//! * [`call`] — the call-description layer: one [`Blas3Op`] value per
+//!   Level 3 or Level 2 call, with typed [`Blas3Error`] validation.
+//!   Level 2 operands use the strided [`VecRef`]/[`VecMut`] views from
+//!   [`vector`].
+//! * [`owned`] — [`OwnedOp`], the owned `'static` mirror of the call
+//!   description that queued/deferred executors (the `adsala-serve` crate)
+//!   move jobs around with; Level 2 vectors are held as `n x 1` matrices.
 //! * [`backend`] — the pluggable [`Blas3Backend`] execution trait
 //!   ([`NativeBackend`] blocked kernels, [`ReferenceBackend`] oracles).
 //! * [`pool`] — a persistent work-stealing-free fork/join thread pool with
@@ -50,8 +50,9 @@
 //! * One module per Level 3 subroutine family, plus [`level2`] for the
 //!   matrix-vector drivers (the memory-bound regime: O(n^2) flops over
 //!   O(n^2) bytes, so the profitable thread count saturates at the
-//!   memory-bandwidth knee, not the core count); [`reference`] holds naive
-//!   implementations used as test oracles.
+//!   memory-bandwidth knee, not the core count);
+//!   [`reference`](mod@reference) holds naive implementations used as
+//!   test oracles.
 
 #![warn(missing_docs)]
 #![allow(clippy::too_many_arguments)] // BLAS signatures are wide by specification
@@ -59,7 +60,6 @@
 pub mod arena;
 pub mod backend;
 pub mod call;
-pub mod call2;
 #[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod fault;
@@ -67,7 +67,6 @@ pub mod kernel;
 pub mod matrix;
 pub mod op;
 pub mod owned;
-pub mod owned2;
 pub mod pack;
 pub mod pool;
 pub mod reference;
@@ -84,12 +83,10 @@ pub mod trsm;
 
 pub use backend::{Blas3Backend, NativeBackend, ReferenceBackend};
 pub use call::{Blas3Error, Blas3Op};
-pub use call2::Blas2Op;
 pub use fault::{FaultBackend, FaultKind, FaultRule, FaultStats, FaultTarget};
 pub use matrix::{MatMut, MatRef, Matrix, MatrixRef};
 pub use op::{Diag, OpKind, Precision, Side, Transpose, Uplo};
 pub use owned::OwnedOp;
-pub use owned2::{Blas2Output, OwnedOp2};
 pub use pool::ThreadPool;
 pub use vector::{VecMut, VecRef};
 
@@ -153,13 +150,6 @@ pub trait Float:
         op: Blas3Op<'_, Self>,
     ) -> Result<(), Blas3Error>;
 
-    /// [`Float::dispatch_op`] for Level 2 call descriptions.
-    fn dispatch_op2<B: Blas3Backend + ?Sized>(
-        backend: &B,
-        nt: usize,
-        op: Blas2Op<'_, Self>,
-    ) -> Result<(), Blas3Error>;
-
     /// Lossless conversion from `f64` (lossy for `f32`, used for scalars).
     fn from_f64(x: f64) -> Self;
     /// Conversion to `f64` for error measurement.
@@ -192,14 +182,6 @@ impl Float for f32 {
         op: Blas3Op<'_, f32>,
     ) -> Result<(), Blas3Error> {
         backend.execute_f32(nt, op)
-    }
-
-    fn dispatch_op2<B: Blas3Backend + ?Sized>(
-        backend: &B,
-        nt: usize,
-        op: Blas2Op<'_, f32>,
-    ) -> Result<(), Blas3Error> {
-        backend.execute2_f32(nt, op)
     }
 
     #[inline(always)]
@@ -244,14 +226,6 @@ impl Float for f64 {
         op: Blas3Op<'_, f64>,
     ) -> Result<(), Blas3Error> {
         backend.execute_f64(nt, op)
-    }
-
-    fn dispatch_op2<B: Blas3Backend + ?Sized>(
-        backend: &B,
-        nt: usize,
-        op: Blas2Op<'_, f64>,
-    ) -> Result<(), Blas3Error> {
-        backend.execute2_f64(nt, op)
     }
 
     #[inline(always)]

@@ -1,23 +1,27 @@
-//! Owned, `'static` BLAS Level 3 call descriptions.
+//! Owned, `'static` BLAS call descriptions.
 //!
 //! [`crate::call::Blas3Op`] borrows its operands, which is the right shape
 //! for a synchronous entry point but cannot cross a queue: a service layer
 //! that accepts work from many clients and executes it later on another
 //! thread needs the operands to move *with* the job. [`OwnedOp`] is that
 //! mirror — one variant per subroutine family, identical flags and scalars,
-//! but [`Matrix`]-owned operands. [`OwnedOp::as_op`] reborrows it as a
-//! [`Blas3Op`] for execution, and [`OwnedOp::output`]/[`OwnedOp::into_output`]
-//! hand the result back to the submitting client afterwards.
+//! but [`Matrix`]-owned operands. The Level 2 vector operands are held as
+//! `n x 1` column matrices, so every family's result is a [`Matrix`].
+//! [`OwnedOp::as_op`] reborrows it as a [`Blas3Op`] for execution, and
+//! [`OwnedOp::output`]/[`OwnedOp::into_output`] hand the result back to the
+//! submitting client afterwards.
 
 use crate::call::{Blas3Error, Blas3Op};
 use crate::matrix::Matrix;
 use crate::op::{Diag, Dims, OpKind, Routine, Side, Transpose, Uplo};
+use crate::vector::{VecMut, VecRef};
 use crate::Float;
 
-/// A fully-described BLAS Level 3 call with owned operands.
+/// A fully-described BLAS call with owned operands.
 ///
 /// Field meanings match [`Blas3Op`] variant-for-variant; see its docs for
-/// the semantics of each flag and scalar.
+/// the semantics of each flag and scalar. A vector operand is an `n x 1`
+/// [`Matrix`] whose storage is read as one contiguous vector.
 #[derive(Debug, Clone)]
 pub enum OwnedOp<T: Float> {
     /// `C = alpha * op(A) * op(B) + beta * C`.
@@ -120,6 +124,85 @@ pub enum OwnedOp<T: Float> {
         /// In-place right-hand sides.
         b: Matrix<T>,
     },
+    /// Matrix-vector multiply into y (see [`Blas3Op::Gemv`]).
+    Gemv {
+        /// Transpose flag for A.
+        trans: Transpose,
+        /// Scale on the product.
+        alpha: T,
+        /// Matrix operand.
+        a: Matrix<T>,
+        /// Input vector.
+        x: Matrix<T>,
+        /// Scale on the existing y.
+        beta: T,
+        /// Output vector.
+        y: Matrix<T>,
+    },
+    /// Rank-1 update, in place on A (see [`Blas3Op::Ger`]).
+    Ger {
+        /// Scale on the outer product.
+        alpha: T,
+        /// Column vector.
+        x: Matrix<T>,
+        /// Row vector.
+        y: Matrix<T>,
+        /// In-place matrix operand.
+        a: Matrix<T>,
+    },
+    /// Symmetric matrix-vector multiply into y (see [`Blas3Op::Symv`]).
+    Symv {
+        /// Stored triangle of A.
+        uplo: Uplo,
+        /// Scale on the product.
+        alpha: T,
+        /// Symmetric operand.
+        a: Matrix<T>,
+        /// Input vector.
+        x: Matrix<T>,
+        /// Scale on the existing y.
+        beta: T,
+        /// Output vector.
+        y: Matrix<T>,
+    },
+    /// Triangular matrix-vector multiply, in place on x (see
+    /// [`Blas3Op::Trmv`]).
+    Trmv {
+        /// Stored triangle of A.
+        uplo: Uplo,
+        /// Transpose flag for A.
+        trans: Transpose,
+        /// Unit-diagonal flag for A.
+        diag: Diag,
+        /// Triangular operand.
+        a: Matrix<T>,
+        /// In-place vector operand.
+        x: Matrix<T>,
+    },
+    /// Triangular solve, in place on x (see [`Blas3Op::Trsv`]).
+    Trsv {
+        /// Stored triangle of A.
+        uplo: Uplo,
+        /// Transpose flag for A.
+        trans: Transpose,
+        /// Unit-diagonal flag for A.
+        diag: Diag,
+        /// Triangular operand.
+        a: Matrix<T>,
+        /// In-place right-hand side / solution vector.
+        x: Matrix<T>,
+    },
+}
+
+/// An owned vector operand as a contiguous view.
+fn vec_ref<T: Float>(v: &Matrix<T>) -> VecRef<'_, T> {
+    VecRef::new(v.as_slice().len(), 1, v.as_slice())
+}
+
+/// An owned vector operand as a contiguous mutable view.
+fn vec_mut<T: Float>(v: &mut Matrix<T>) -> VecMut<'_, T> {
+    let data = v.as_mut_slice();
+    VecMut::new(data.len(), 1, data)
 }
 
 /// Shape of `op(M)` for an owned matrix under a transpose flag.
@@ -140,6 +223,11 @@ impl<T: Float> OwnedOp<T> {
             OwnedOp::Syr2k { .. } => OpKind::Syr2k,
             OwnedOp::Trmm { .. } => OpKind::Trmm,
             OwnedOp::Trsm { .. } => OpKind::Trsm,
+            OwnedOp::Gemv { .. } => OpKind::Gemv,
+            OwnedOp::Ger { .. } => OpKind::Ger,
+            OwnedOp::Symv { .. } => OpKind::Symv,
+            OwnedOp::Trmv { .. } => OpKind::Trmv,
+            OwnedOp::Trsv { .. } => OpKind::Trsv,
         }
     }
 
@@ -161,6 +249,10 @@ impl<T: Float> OwnedOp<T> {
                 Dims::d2(c.rows(), k)
             }
             OwnedOp::Trmm { b, .. } | OwnedOp::Trsm { b, .. } => Dims::d2(b.rows(), b.cols()),
+            OwnedOp::Gemv { a, .. } | OwnedOp::Ger { a, .. } => Dims::d2(a.rows(), a.cols()),
+            OwnedOp::Symv { a, .. } | OwnedOp::Trmv { a, .. } | OwnedOp::Trsv { a, .. } => {
+                Dims::d1(a.rows())
+            }
         }
     }
 
@@ -279,6 +371,68 @@ impl<T: Float> OwnedOp<T> {
                 a: a.as_ref(),
                 b: b.as_mut(),
             },
+            OwnedOp::Gemv {
+                trans,
+                alpha,
+                a,
+                x,
+                beta,
+                y,
+            } => Blas3Op::Gemv {
+                trans: *trans,
+                alpha: *alpha,
+                a: a.as_ref(),
+                x: vec_ref(x),
+                beta: *beta,
+                y: vec_mut(y),
+            },
+            OwnedOp::Ger { alpha, x, y, a } => Blas3Op::Ger {
+                alpha: *alpha,
+                x: vec_ref(x),
+                y: vec_ref(y),
+                a: a.as_mut(),
+            },
+            OwnedOp::Symv {
+                uplo,
+                alpha,
+                a,
+                x,
+                beta,
+                y,
+            } => Blas3Op::Symv {
+                uplo: *uplo,
+                alpha: *alpha,
+                a: a.as_ref(),
+                x: vec_ref(x),
+                beta: *beta,
+                y: vec_mut(y),
+            },
+            OwnedOp::Trmv {
+                uplo,
+                trans,
+                diag,
+                a,
+                x,
+            } => Blas3Op::Trmv {
+                uplo: *uplo,
+                trans: *trans,
+                diag: *diag,
+                a: a.as_ref(),
+                x: vec_mut(x),
+            },
+            OwnedOp::Trsv {
+                uplo,
+                trans,
+                diag,
+                a,
+                x,
+            } => Blas3Op::Trsv {
+                uplo: *uplo,
+                trans: *trans,
+                diag: *diag,
+                a: a.as_ref(),
+                x: vec_mut(x),
+            },
         }
     }
 
@@ -287,8 +441,8 @@ impl<T: Float> OwnedOp<T> {
         self.as_op().validate()
     }
 
-    /// The operand that receives this call's result (C, or B for the
-    /// in-place triangular routines).
+    /// The operand that receives this call's result: C; B for TRMM/TRSM;
+    /// y for GEMV/SYMV; x for TRMV/TRSV; A for GER.
     pub fn output(&self) -> &Matrix<T> {
         match self {
             OwnedOp::Gemm { c, .. }
@@ -296,10 +450,14 @@ impl<T: Float> OwnedOp<T> {
             | OwnedOp::Syrk { c, .. }
             | OwnedOp::Syr2k { c, .. } => c,
             OwnedOp::Trmm { b, .. } | OwnedOp::Trsm { b, .. } => b,
+            OwnedOp::Gemv { y, .. } | OwnedOp::Symv { y, .. } => y,
+            OwnedOp::Trmv { x, .. } | OwnedOp::Trsv { x, .. } => x,
+            OwnedOp::Ger { a, .. } => a,
         }
     }
 
-    /// Consume the call and return its output operand.
+    /// Consume the call and return its output operand (see
+    /// [`OwnedOp::output`]).
     pub fn into_output(self) -> Matrix<T> {
         match self {
             OwnedOp::Gemm { c, .. }
@@ -307,6 +465,9 @@ impl<T: Float> OwnedOp<T> {
             | OwnedOp::Syrk { c, .. }
             | OwnedOp::Syr2k { c, .. } => c,
             OwnedOp::Trmm { b, .. } | OwnedOp::Trsm { b, .. } => b,
+            OwnedOp::Gemv { y, .. } | OwnedOp::Symv { y, .. } => y,
+            OwnedOp::Trmv { x, .. } | OwnedOp::Trsv { x, .. } => x,
+            OwnedOp::Ger { a, .. } => a,
         }
     }
 }
@@ -406,5 +567,95 @@ mod tests {
         NativeBackend.execute(2, native.as_op()).unwrap();
         ReferenceBackend.execute(1, refr.as_op()).unwrap();
         assert!(native.output().max_abs_diff(refr.output()) < 1e-12);
+    }
+
+    /// A contiguous `n x 1` vector operand from its elements.
+    fn col(v: &[f64]) -> Matrix<f64> {
+        Matrix::from_col_major(v.len(), 1, v.to_vec())
+    }
+
+    fn gemv_op(m: usize, n: usize) -> OwnedOp<f64> {
+        OwnedOp::Gemv {
+            trans: Transpose::No,
+            alpha: 1.5,
+            a: Matrix::from_fn(m, n, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0),
+            x: Matrix::from_fn(n, 1, |i, _| (i % 5) as f64 - 2.0),
+            beta: 0.5,
+            y: Matrix::from_fn(m, 1, |i, _| (i % 3) as f64),
+        }
+    }
+
+    #[test]
+    fn owned_gemv_mirrors_the_borrowed_description() {
+        let mut op = gemv_op(9, 14);
+        assert_eq!(op.op_kind(), OpKind::Gemv);
+        assert_eq!(op.routine().name(), "dgemv");
+        assert_eq!(op.dims(), Dims::d2(9, 14));
+        assert!(op.validate().is_ok());
+        let (flops, bytes) = (op.flops(), op.bytes_touched());
+        let view = op.as_op();
+        assert_eq!(view.dims(), Dims::d2(9, 14));
+        assert_eq!(view.flops(), flops);
+        assert_eq!(view.bytes_touched(), bytes);
+    }
+
+    #[test]
+    fn native_and_reference_agree_through_the_owned_layer() {
+        let mut native = gemv_op(17, 23);
+        let mut refr = native.clone();
+        NativeBackend.execute(4, native.as_op()).unwrap();
+        ReferenceBackend.execute(1, refr.as_op()).unwrap();
+        assert_eq!(native.output().rows(), 17);
+        assert!(native.output().max_abs_diff(refr.output()) < 1e-12);
+    }
+
+    #[test]
+    fn ger_reports_the_matrix_as_output() {
+        let mut op = OwnedOp::Ger {
+            alpha: 2.0,
+            x: col(&[1.0, 2.0, 3.0]),
+            y: col(&[1.0, -1.0]),
+            a: Matrix::zeros(3, 2),
+        };
+        assert_eq!(op.dims(), Dims::d2(3, 2));
+        NativeBackend.execute(1, op.as_op()).unwrap();
+        assert_eq!(op.output().get(2, 0), 6.0);
+        let out = op.into_output();
+        assert_eq!(out.get(2, 1), -6.0);
+    }
+
+    #[test]
+    fn trsv_roundtrips_through_owned_ops() {
+        let n = 12;
+        let a = Matrix::from_fn(n, n, |i, j| {
+            if i == j {
+                3.0
+            } else if i < j {
+                0.25
+            } else {
+                0.0
+            }
+        });
+        let x0 = Matrix::from_fn(n, 1, |i, _| (i % 7) as f64 - 3.0);
+        let mut mul = OwnedOp::Trmv {
+            uplo: Uplo::Upper,
+            trans: Transpose::No,
+            diag: Diag::NonUnit,
+            a: a.clone(),
+            x: x0.clone(),
+        };
+        NativeBackend.execute(1, mul.as_op()).unwrap();
+        let mut solve = OwnedOp::Trsv {
+            uplo: Uplo::Upper,
+            trans: Transpose::No,
+            diag: Diag::NonUnit,
+            a,
+            x: mul.into_output(),
+        };
+        NativeBackend.execute(1, solve.as_op()).unwrap();
+        assert!(
+            solve.into_output().max_abs_diff(&x0) < 1e-10,
+            "trsv did not invert trmv"
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! A triangular with optional implicit unit diagonal.
 //!
 //! One sweep serves both sides: the Right side is the Left side on `Bᵀ`
-//! with `op(A)ᵀ` (see [`tri`](crate::tri)). The team walks the diagonal
+//! with `op(A)ᵀ` (see the crate-private `tri` module). The team walks the diagonal
 //! blocks of `op'(A)` **in lockstep**, in the order that leaves every row
 //! a block reads unwritten until its own turn. Per block:
 //!

@@ -3,7 +3,7 @@
 //! the solution X overwrites B. A is assumed non-singular.
 //!
 //! One sweep serves both sides: the Right side is the Left side on `Bᵀ`
-//! with `op(A)ᵀ` (see [`tri`](crate::tri)). The diagonal blocks are
+//! with `op(A)ᵀ` (see the crate-private `tri` module). The diagonal blocks are
 //! **dependent** (block `i` can only be solved once every earlier block's
 //! contribution is folded in), so the team sweeps them in lockstep, in
 //! substitution order. Per block:

@@ -1,32 +1,118 @@
 //! Backend-seam tests: `Blas3Op::validate` must reject every malformed
 //! call shape with a typed error, and the two shipped backends must agree
-//! numerically when driven through the object-safe trait path.
+//! numerically when driven through the object-safe trait path, for the
+//! Level 3 and the Level 2 families alike.
 
 // Outside the Miri subset: exercises the OS thread pool.
 #![cfg(not(miri))]
 
 use adsala_blas3::call::{Blas3Error, Blas3Op};
+use adsala_blas3::op::{OpKind, Precision, Routine};
 use adsala_blas3::{
-    Blas3Backend, Diag, MatMut, MatRef, Matrix, NativeBackend, ReferenceBackend, Side, Transpose,
-    Uplo,
+    Blas3Backend, Diag, FaultBackend, FaultKind, FaultRule, FaultTarget, Float, MatMut, MatRef,
+    Matrix, NativeBackend, OwnedOp, ReferenceBackend, Side, Transpose, Uplo,
 };
 
-fn mat(r: usize, c: usize, seed: u64) -> Matrix<f64> {
+fn mat_t<T: Float>(r: usize, c: usize, seed: u64) -> Matrix<T> {
     Matrix::from_fn(r, c, |i, j| {
         let h = (i as u64)
             .wrapping_mul(0x9E3779B97F4A7C15)
             .wrapping_add((j as u64).wrapping_mul(0xD1B54A32D192ED03))
             .wrapping_add(seed.wrapping_mul(0xBF58476D1CE4E5B9));
-        ((h >> 40) % 1000) as f64 / 100.0 - 5.0
+        T::from_f64(((h >> 40) % 1000) as f64 / 100.0 - 5.0)
     })
 }
 
-fn tri(n: usize, seed: u64) -> Matrix<f64> {
-    let mut a = mat(n, n, seed);
+fn mat(r: usize, c: usize, seed: u64) -> Matrix<f64> {
+    mat_t(r, c, seed)
+}
+
+fn tri_t<T: Float>(n: usize, seed: u64) -> Matrix<T> {
+    let mut a = mat_t(n, n, seed);
     for i in 0..n {
-        a.set(i, i, 4.0 + (i % 3) as f64);
+        a.set(i, i, T::from_f64(4.0 + (i % 3) as f64));
     }
     a
+}
+
+fn tri(n: usize, seed: u64) -> Matrix<f64> {
+    tri_t(n, seed)
+}
+
+/// One call per Level 2 family (GEMV, GER, SYMV, TRMV, TRSV) on an
+/// `m x n` (or order-`m`) matrix; vectors are `len x 1` matrices.
+fn level2_ops<T: Float>(m: usize, n: usize) -> Vec<OwnedOp<T>> {
+    // TRSV's A: off-diagonals scaled down so the f32 solve stays well
+    // conditioned at order m.
+    let off = mat_t::<f64>(m, m, 30);
+    let solve = Matrix::from_fn(m, m, |i, j| {
+        T::from_f64(if i == j {
+            4.0
+        } else {
+            off.get(i, j) / (4.0 * m as f64)
+        })
+    });
+    vec![
+        OwnedOp::Gemv {
+            trans: Transpose::Yes,
+            alpha: T::from_f64(1.3),
+            a: mat_t(n, m, 21),
+            x: mat_t(n, 1, 22),
+            beta: T::from_f64(0.4),
+            y: mat_t(m, 1, 23),
+        },
+        OwnedOp::Ger {
+            alpha: T::from_f64(0.8),
+            x: mat_t(m, 1, 24),
+            y: mat_t(n, 1, 25),
+            a: mat_t(m, n, 26),
+        },
+        OwnedOp::Symv {
+            uplo: Uplo::Lower,
+            alpha: T::from_f64(0.9),
+            a: mat_t(m, m, 27),
+            x: mat_t(m, 1, 28),
+            beta: T::from_f64(-0.2),
+            y: mat_t(m, 1, 29),
+        },
+        OwnedOp::Trmv {
+            uplo: Uplo::Upper,
+            trans: Transpose::Yes,
+            diag: Diag::NonUnit,
+            a: tri_t(m, 31),
+            x: mat_t(m, 1, 32),
+        },
+        OwnedOp::Trsv {
+            uplo: Uplo::Lower,
+            trans: Transpose::No,
+            diag: Diag::NonUnit,
+            a: solve,
+            x: mat_t(m, 1, 33),
+        },
+    ]
+}
+
+/// Run every [`level2_ops`] call on `backend` and return the outputs.
+fn run_level2<T: Float, B: Blas3Backend>(backend: &B, nt: usize) -> Vec<Matrix<T>> {
+    level2_ops::<T>(23, 17)
+        .into_iter()
+        .map(|mut op| {
+            backend
+                .execute(nt, op.as_op())
+                .unwrap_or_else(|e| panic!("{} rejected {}: {e}", backend.name(), op.routine()));
+            op.into_output()
+        })
+        .collect()
+}
+
+/// Assert two backends' Level 2 outputs agree to `tol`, relative to the
+/// second's magnitude.
+fn assert_level2_agree<T: Float>(got: &[Matrix<T>], want: &[Matrix<T>], tol: f64, what: &str) {
+    let names = ["gemv", "ger", "symv", "trmv", "trsv"];
+    for ((name, g), w) in names.iter().zip(got).zip(want) {
+        let diff = g.max_abs_diff(w) / w.frob_norm().max(1.0);
+        assert!(diff < tol, "{name} {what}: diff {diff}");
+    }
 }
 
 // ---------------------------------------------------------------- validate
@@ -408,6 +494,22 @@ fn native_and_reference_agree_through_trait_objects() {
                 "{name} nt={nt}: native vs reference diff {diff}"
             );
         }
+
+        // The Level 2 families, both precisions, through the same objects.
+        let [native, reference] = backends;
+        let what = format!("nt={nt} native vs reference");
+        assert_level2_agree::<f64>(
+            &run_level2(&native, nt),
+            &run_level2(&reference, nt),
+            1e-12,
+            &what,
+        );
+        assert_level2_agree::<f32>(
+            &run_level2(&native, nt),
+            &run_level2(&reference, nt),
+            1e-5,
+            &what,
+        );
     }
 }
 
@@ -439,6 +541,74 @@ fn backends_validate_before_executing() {
             "{}: {err:?}",
             backend.name()
         );
+        check_level2_rejections::<f32, _>(&backend);
+        check_level2_rejections::<f64, _>(&backend);
+    }
+}
+
+/// `backend` rejects one malformed call per Level 2 family with the
+/// typed error validation reports, and leaves the output untouched.
+fn check_level2_rejections<T: Float, B: Blas3Backend>(backend: &B) {
+    let v = |n: usize| Matrix::<T>::filled(n, 1, T::ONE);
+    let (one, zero) = (T::ONE, T::ZERO);
+    let malformed = vec![
+        // x has 4 elements; op(A) has 5 columns.
+        OwnedOp::Gemv {
+            trans: Transpose::No,
+            alpha: one,
+            a: mat_t(4, 5, 1),
+            x: v(4),
+            beta: zero,
+            y: v(4),
+        },
+        // x has 3 elements; A has 4 rows.
+        OwnedOp::Ger {
+            alpha: one,
+            x: v(3),
+            y: v(5),
+            a: mat_t(4, 5, 2),
+        },
+        // A is not square.
+        OwnedOp::Symv {
+            uplo: Uplo::Upper,
+            alpha: one,
+            a: mat_t(4, 5, 3),
+            x: v(4),
+            beta: zero,
+            y: v(4),
+        },
+        // x has 5 elements; A has order 4.
+        OwnedOp::Trmv {
+            uplo: Uplo::Lower,
+            trans: Transpose::No,
+            diag: Diag::Unit,
+            a: tri_t(4, 4),
+            x: v(5),
+        },
+        // A is not square.
+        OwnedOp::Trsv {
+            uplo: Uplo::Upper,
+            trans: Transpose::Yes,
+            diag: Diag::NonUnit,
+            a: mat_t(3, 4, 5),
+            x: v(3),
+        },
+    ];
+    for mut op in malformed {
+        let before = op.output().clone();
+        let want = op.validate().unwrap_err();
+        assert!(matches!(
+            want,
+            Blas3Error::DimMismatch { .. } | Blas3Error::NotSquare { .. }
+        ));
+        let err = backend.execute(1, op.as_op()).unwrap_err();
+        assert_eq!(err, want, "{} {}", backend.name(), op.routine());
+        assert_eq!(
+            op.output(),
+            &before,
+            "{} wrote a rejected call",
+            op.routine()
+        );
     }
 }
 
@@ -467,6 +637,53 @@ fn generic_execute_works_on_boxed_trait_objects() {
     assert!(c.max_abs_diff(&b) < 1e-15);
     assert_eq!(backend.name(), "reference");
     assert_eq!(backend.max_threads(), 1);
+
+    // The Level 2 families, both precisions, through boxed objects.
+    let native: Box<dyn Blas3Backend> = Box::new(NativeBackend);
+    for nt in [1usize, 3] {
+        let what = format!("nt={nt} boxed native vs boxed reference");
+        assert_level2_agree::<f64>(
+            &run_level2(&native, nt),
+            &run_level2(&backend, nt),
+            1e-12,
+            &what,
+        );
+        assert_level2_agree::<f32>(
+            &run_level2(&native, nt),
+            &run_level2(&backend, nt),
+            1e-5,
+            &what,
+        );
+    }
+}
+
+#[test]
+fn fault_rule_on_a_level2_routine_fires_through_execute_f64() {
+    let dgemv = Routine::new(OpKind::Gemv, Precision::Double);
+    let backend = FaultBackend::new(
+        NativeBackend,
+        7,
+        vec![FaultRule::new(FaultKind::Fatal).targeting(FaultTarget::routine(dgemv))],
+    );
+    for mut op in level2_ops::<f64>(9, 6) {
+        let before = op.output().clone();
+        let result = backend.execute_f64(1, op.as_op());
+        if op.routine() == dgemv {
+            assert_eq!(
+                result,
+                Err(Blas3Error::BackendFault {
+                    backend: "fault",
+                    transient: false
+                })
+            );
+            assert_eq!(op.output(), &before, "a faulted call must not write");
+        } else {
+            assert_eq!(result, Ok(()), "{} is not targeted", op.routine());
+        }
+    }
+    let stats = backend.stats();
+    assert_eq!(stats.calls, 5);
+    assert_eq!(stats.injected, 1);
 }
 
 #[test]

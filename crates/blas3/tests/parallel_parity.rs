@@ -10,8 +10,6 @@
 //!   the same micro-kernel and block order regardless of team size, so
 //!   results must be *bitwise* identical across nt. (The old per-chunk
 //!   strategy could not make this promise: chunk boundaries moved with nt.)
-//! * **old-vs-new** — the retained per-thread-chunk GEMM baseline
-//!   ([`gemm_chunked`]) agrees with the cooperative driver to rounding.
 //! * **zero steady-state allocations** — after a warm-up call, replaying
 //!   the same shapes performs no packing allocations (the arena hook).
 //!
@@ -21,7 +19,6 @@
 // Outside the Miri subset: exercises the OS thread pool and spin barriers.
 #![cfg(not(miri))]
 
-use adsala_blas3::gemm::gemm_chunked;
 use adsala_blas3::pool::ThreadPool;
 use adsala_blas3::{arena, gemm, reference, symm, syr2k, syrk, trmm, trsm};
 use adsala_blas3::{Diag, Float, Matrix, Side, Transpose, Uplo};
@@ -251,45 +248,6 @@ proptest! {
     ) {
         check_all_routines::<f64>(m, n, k, seed, 1e-11);
         check_all_routines::<f32>(m, n, k, seed, 1e-3);
-    }
-
-    /// The retained chunked GEMM baseline agrees with the cooperative
-    /// driver (to rounding — the block schedules differ).
-    #[test]
-    fn chunked_baseline_matches_cooperative(
-        m in 1usize..120,
-        n in 1usize..120,
-        k in 1usize..80,
-        seed in any::<u64>(),
-    ) {
-        let a = det_mat::<f64>(m, k, seed);
-        let b = det_mat::<f64>(k, n, seed ^ 1);
-        let c0 = det_mat::<f64>(m, n, seed ^ 2);
-        for nt in nt_sweep() {
-            let mut coop = c0.clone();
-            gemm::gemm_mat(nt, Transpose::No, Transpose::No, 1.0, &a, &b, 0.7, &mut coop);
-            let mut chunked = c0.clone();
-            gemm_chunked(
-                nt,
-                Transpose::No,
-                Transpose::No,
-                m,
-                n,
-                k,
-                1.0,
-                a.as_slice(),
-                m,
-                b.as_slice(),
-                k,
-                0.7,
-                chunked.as_mut_slice(),
-                m,
-            );
-            prop_assert!(
-                rel_diff(&coop, &chunked) < 1e-12,
-                "nt={nt} m={m} n={n} k={k}"
-            );
-        }
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! A cell is one scheduler thread plus a private [`ThreadPool`] capped at
 //! its slice of the hardware threads, a private [`Telemetry`] ring, and a
-//! per-cell [`LaneQueues`]. The router places every admitted job on
+//! per-cell `LaneQueues`. The router places every admitted job on
 //! exactly one cell; the cell's scheduler drains its lanes highest QoS
 //! class first and executes batches on its own pool (the scheduler thread
 //! holds a [`ThreadPool::enter`] override for its lifetime, so the
@@ -444,8 +444,6 @@ fn serve_one<B: Blas3Backend>(
     let execute = |op: &mut AnyOp| match op {
         AnyOp::F32(o) => shared.runtime.execute_with_nt(exec_nt, o.as_op()),
         AnyOp::F64(o) => shared.runtime.execute_with_nt(exec_nt, o.as_op()),
-        AnyOp::F32L2(o) => shared.runtime.execute2_with_nt(exec_nt, o.as_op()),
-        AnyOp::F64L2(o) => shared.runtime.execute2_with_nt(exec_nt, o.as_op()),
     };
     let mut start = Instant::now();
     let mut result = execute(&mut op);

@@ -28,11 +28,11 @@ pub type CompletionCallback = Box<dyn FnOnce(Result<Completed, ServeError>) + Se
 
 /// Phase constants of the abstract armed→settled slot protocol.
 ///
-/// These number the [`SlotState`] lifecycle (`SETTLING` is the transient
+/// These number the `SlotState` lifecycle (`SETTLING` is the transient
 /// exclusivity phase a lock-free settler holds while publishing; the
 /// mutex-backed slot here passes through it implicitly, under its lock).
 /// They exist for two consumers: the lock-free advisory `phase` word on
-/// [`CompletionSlot`] that lets [`Ticket::poll`] short-circuit without
+/// `CompletionSlot` that lets [`Ticket::poll`] short-circuit without
 /// taking the lock, and the chaos model of this protocol
 /// (`adsala_blas3::chaos::models`, the `SlotModel`), which mirrors the
 /// same constants — a serve-side test asserts the two sets stay equal,

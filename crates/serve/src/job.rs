@@ -4,7 +4,7 @@
 
 use crate::router::TenantId;
 use adsala_blas3::op::{Dims, Routine};
-use adsala_blas3::{Blas3Error, OwnedOp, OwnedOp2};
+use adsala_blas3::{Blas3Error, OwnedOp};
 use std::fmt;
 
 /// Identifier of one client handle of a [`crate::Service`].
@@ -24,14 +24,10 @@ impl fmt::Display for ClientId {
 /// their precision with them.
 #[derive(Debug, Clone)]
 pub enum AnyOp {
-    /// A single-precision Level 3 call.
+    /// A single-precision call.
     F32(OwnedOp<f32>),
-    /// A double-precision Level 3 call.
+    /// A double-precision call.
     F64(OwnedOp<f64>),
-    /// A single-precision Level 2 call.
-    F32L2(OwnedOp2<f32>),
-    /// A double-precision Level 2 call.
-    F64L2(OwnedOp2<f64>),
 }
 
 impl From<OwnedOp<f32>> for AnyOp {
@@ -46,26 +42,12 @@ impl From<OwnedOp<f64>> for AnyOp {
     }
 }
 
-impl From<OwnedOp2<f32>> for AnyOp {
-    fn from(op: OwnedOp2<f32>) -> AnyOp {
-        AnyOp::F32L2(op)
-    }
-}
-
-impl From<OwnedOp2<f64>> for AnyOp {
-    fn from(op: OwnedOp2<f64>) -> AnyOp {
-        AnyOp::F64L2(op)
-    }
-}
-
 impl AnyOp {
     /// The fully-qualified routine (family + precision).
     pub fn routine(&self) -> Routine {
         match self {
             AnyOp::F32(op) => op.routine(),
             AnyOp::F64(op) => op.routine(),
-            AnyOp::F32L2(op) => op.routine(),
-            AnyOp::F64L2(op) => op.routine(),
         }
     }
 
@@ -74,8 +56,6 @@ impl AnyOp {
         match self {
             AnyOp::F32(op) => op.dims(),
             AnyOp::F64(op) => op.dims(),
-            AnyOp::F32L2(op) => op.dims(),
-            AnyOp::F64L2(op) => op.dims(),
         }
     }
 
@@ -90,8 +70,6 @@ impl AnyOp {
         match self {
             AnyOp::F32(op) => op.flops(),
             AnyOp::F64(op) => op.flops(),
-            AnyOp::F32L2(op) => op.flops(),
-            AnyOp::F64L2(op) => op.flops(),
         }
     }
 
@@ -101,16 +79,8 @@ impl AnyOp {
     /// memory-bound call cannot be priced as if compute were the limit.
     pub fn bytes_touched(&self) -> f64 {
         match self {
-            AnyOp::F32(op) => op
-                .routine()
-                .op
-                .footprint_bytes(op.dims(), op.routine().prec),
-            AnyOp::F64(op) => op
-                .routine()
-                .op
-                .footprint_bytes(op.dims(), op.routine().prec),
-            AnyOp::F32L2(op) => op.bytes_touched(),
-            AnyOp::F64L2(op) => op.bytes_touched(),
+            AnyOp::F32(op) => op.bytes_touched(),
+            AnyOp::F64(op) => op.bytes_touched(),
         }
     }
 
@@ -119,12 +89,10 @@ impl AnyOp {
         match self {
             AnyOp::F32(op) => op.validate(),
             AnyOp::F64(op) => op.validate(),
-            AnyOp::F32L2(op) => op.validate(),
-            AnyOp::F64L2(op) => op.validate(),
         }
     }
 
-    /// Unwrap a single-precision Level 3 op, or `None` otherwise.
+    /// Unwrap a single-precision op, or `None` otherwise.
     pub fn into_f32(self) -> Option<OwnedOp<f32>> {
         match self {
             AnyOp::F32(op) => Some(op),
@@ -132,26 +100,10 @@ impl AnyOp {
         }
     }
 
-    /// Unwrap a double-precision Level 3 op, or `None` otherwise.
+    /// Unwrap a double-precision op, or `None` otherwise.
     pub fn into_f64(self) -> Option<OwnedOp<f64>> {
         match self {
             AnyOp::F64(op) => Some(op),
-            _ => None,
-        }
-    }
-
-    /// Unwrap a single-precision Level 2 op, or `None` otherwise.
-    pub fn into_f32_l2(self) -> Option<OwnedOp2<f32>> {
-        match self {
-            AnyOp::F32L2(op) => Some(op),
-            _ => None,
-        }
-    }
-
-    /// Unwrap a double-precision Level 2 op, or `None` otherwise.
-    pub fn into_f64_l2(self) -> Option<OwnedOp2<f64>> {
-        match self {
-            AnyOp::F64L2(op) => Some(op),
             _ => None,
         }
     }

@@ -10,11 +10,11 @@ use adsala::runtime::Adsala;
 use adsala::timer::SimTimer;
 use adsala_blas3::op::Routine;
 use adsala_blas3::{
-    Blas3Backend, Diag, Float, Matrix, NativeBackend, OwnedOp, OwnedOp2, ReferenceBackend, Side,
-    Transpose, Uplo,
+    Blas3Backend, Diag, Matrix, NativeBackend, OwnedOp, ReferenceBackend, Side, Transpose, Uplo,
 };
 use adsala_machine::MachineSpec;
 use adsala_ml::model::ModelKind;
+use adsala_serve::drift_harness::SkewedSpinBackend;
 use adsala_serve::{AnyOp, RejectReason, ServeConfig, ServeError, Service};
 
 fn modelless_runtime() -> Adsala<NativeBackend> {
@@ -37,15 +37,13 @@ fn spd_mat(n: usize) -> Matrix<f64> {
     })
 }
 
-fn vec_f64(n: usize, seed: usize) -> Vec<f64> {
-    (0..n)
-        .map(|i| ((i * 23 + seed * 5) % 11) as f64 / 11.0 - 0.3)
-        .collect()
+/// An `n x 1` vector operand.
+fn vec_f64(n: usize, seed: usize) -> Matrix<f64> {
+    Matrix::from_fn(n, 1, |i, _| ((i * 23 + seed * 5) % 11) as f64 / 11.0 - 0.3)
 }
 
 /// A mixed stream across the six Level 3 families (f64), one f32 gemm,
-/// and three Level 2 calls (dgemv, dsymv, strsv) so both call layers flow
-/// through one queue.
+/// and three Level 2 calls (dgemv, dsymv, strsv), all through one queue.
 fn mixed_ops(seed: usize) -> Vec<AnyOp> {
     let n = 20;
     vec![
@@ -117,7 +115,7 @@ fn mixed_ops(seed: usize) -> Vec<AnyOp> {
             beta: 0.0,
             c: Matrix::<f32>::zeros(n, n),
         }),
-        OwnedOp2::Gemv {
+        OwnedOp::Gemv {
             trans: Transpose::Yes,
             alpha: 1.5,
             a: mat(n, n + 4, seed + 11),
@@ -126,7 +124,7 @@ fn mixed_ops(seed: usize) -> Vec<AnyOp> {
             y: vec_f64(n + 4, seed + 13),
         }
         .into(),
-        OwnedOp2::Symv {
+        OwnedOp::Symv {
             uplo: Uplo::Lower,
             alpha: 0.5,
             a: spd_mat(n),
@@ -135,7 +133,7 @@ fn mixed_ops(seed: usize) -> Vec<AnyOp> {
             y: vec_f64(n, seed + 15),
         }
         .into(),
-        AnyOp::F32L2(OwnedOp2::Trsv {
+        AnyOp::F32(OwnedOp::Trsv {
             uplo: Uplo::Upper,
             trans: Transpose::No,
             diag: Diag::NonUnit,
@@ -146,9 +144,7 @@ fn mixed_ops(seed: usize) -> Vec<AnyOp> {
                     ((i + 2 * j) % 3) as f32 * 0.25
                 }
             }),
-            x: (0..n)
-                .map(|i| ((i * 7 + seed) % 9) as f32 / 9.0 - 0.4)
-                .collect(),
+            x: Matrix::from_fn(n, 1, |i, _| ((i * 7 + seed) % 9) as f32 / 9.0 - 0.4),
         }),
     ]
 }
@@ -159,32 +155,14 @@ fn oracle(op: &AnyOp) -> AnyOp {
     match &mut copy {
         AnyOp::F32(o) => ReferenceBackend.execute(1, o.as_op()).unwrap(),
         AnyOp::F64(o) => ReferenceBackend.execute(1, o.as_op()).unwrap(),
-        AnyOp::F32L2(o) => ReferenceBackend.execute2(1, o.as_op()).unwrap(),
-        AnyOp::F64L2(o) => ReferenceBackend.execute2(1, o.as_op()).unwrap(),
     }
     copy
-}
-
-fn l2_diff<T: Float>(x: &OwnedOp2<T>, y: &OwnedOp2<T>) -> f64 {
-    match (x.out_vector(), y.out_vector()) {
-        (Some(a), Some(b)) => a
-            .iter()
-            .zip(b)
-            .map(|(p, q)| (p.to_f64() - q.to_f64()).abs())
-            .fold(0.0, f64::max),
-        _ => x
-            .out_matrix()
-            .expect("ger writes the matrix")
-            .max_abs_diff(y.out_matrix().expect("ger writes the matrix")),
-    }
 }
 
 fn max_diff(a: &AnyOp, b: &AnyOp) -> f64 {
     match (a, b) {
         (AnyOp::F32(x), AnyOp::F32(y)) => x.output().max_abs_diff(y.output()),
         (AnyOp::F64(x), AnyOp::F64(y)) => x.output().max_abs_diff(y.output()),
-        (AnyOp::F32L2(x), AnyOp::F32L2(y)) => l2_diff(x, y),
-        (AnyOp::F64L2(x), AnyOp::F64L2(y)) => l2_diff(x, y),
         _ => panic!("precision mismatch"),
     }
 }
@@ -203,8 +181,8 @@ fn batched_results_match_the_reference_oracle() {
         assert!(done.stats.admitted_nt >= 1);
         assert!(done.stats.observed_secs >= 0.0);
         let tol = match want {
-            AnyOp::F32(_) | AnyOp::F32L2(_) => 1e-4,
-            AnyOp::F64(_) | AnyOp::F64L2(_) => 1e-10,
+            AnyOp::F32(_) => 1e-4,
+            AnyOp::F64(_) => 1e-10,
         };
         assert!(
             max_diff(&done.op, want) < tol,
@@ -552,7 +530,7 @@ fn level2_jobs_are_priced_batched_and_served_with_telemetry() {
     let client = service.client();
 
     let gemv = |i: usize| {
-        AnyOp::from(OwnedOp2::Gemv {
+        AnyOp::from(OwnedOp::Gemv {
             trans: Transpose::No,
             alpha: 1.0 + i as f64 / 8.0,
             a: mat(32, 24, i),
@@ -604,7 +582,7 @@ fn batch_floor_hold_is_bounded_for_a_lone_tiny_job() {
     )
     .expect("spawn scheduler cells");
     let client = service.client();
-    let op = OwnedOp2::Gemv {
+    let op = OwnedOp::Gemv {
         trans: Transpose::No,
         alpha: 1.0,
         a: mat(8, 8, 1),
@@ -621,4 +599,36 @@ fn batch_floor_hold_is_bounded_for_a_lone_tiny_job() {
         "hold must be bounded"
     );
     assert!(max_diff(&done.op, &want) < 1e-12);
+}
+
+#[test]
+fn level2_job_is_served_by_a_backend_with_only_the_two_execute_methods() {
+    // `SkewedSpinBackend` implements just `execute_f32`/`execute_f64`;
+    // with one call description for both BLAS levels, that is all a
+    // backend needs to serve Level 2 work.
+    let backend = SkewedSpinBackend::new(SimTimer::new(MachineSpec::gadi()), 1.0, 1.0);
+    let runtime = Adsala::builder()
+        .backend(backend)
+        .fallback_nt(1)
+        .build()
+        .unwrap();
+    let service = Service::new(runtime).expect("spawn scheduler cells");
+    let done = service
+        .client()
+        .submit(OwnedOp::Gemv {
+            trans: Transpose::No,
+            alpha: 1.0,
+            a: mat(16, 12, 1),
+            x: vec_f64(12, 2),
+            beta: 0.0,
+            y: vec_f64(16, 3),
+        })
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(done.result, Ok(()));
+    let snap = service.telemetry_snapshot();
+    assert_eq!(snap.len(), 1);
+    assert_eq!(snap[0].routine, Routine::parse("dgemv").unwrap());
+    assert_eq!((snap[0].dims.a(), snap[0].dims.b()), (16, 12));
 }

@@ -42,8 +42,6 @@ fn oracle(op: &AnyOp) -> AnyOp {
     match &mut copy {
         AnyOp::F32(o) => ReferenceBackend.execute(1, o.as_op()).unwrap(),
         AnyOp::F64(o) => ReferenceBackend.execute(1, o.as_op()).unwrap(),
-        AnyOp::F32L2(o) => ReferenceBackend.execute2(1, o.as_op()).unwrap(),
-        AnyOp::F64L2(o) => ReferenceBackend.execute2(1, o.as_op()).unwrap(),
     }
     copy
 }
